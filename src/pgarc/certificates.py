@@ -16,7 +16,7 @@ under each, and reports which candidates satisfy every claim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations, product
 
@@ -107,8 +107,8 @@ def certificate_to_dict(cert: ArcCertificate) -> dict:
 def serialize_certificate(cert: ArcCertificate) -> str:
     """Canonical form: fixed key order, points in ascending index order
     (lexicographic on normalized triples), UTF-8, trailing newline."""
-    cert.points.sort()
-    return json.dumps(certificate_to_dict(cert), indent=2, ensure_ascii=False) + "\n"
+    data = certificate_to_dict(replace(cert, points=sorted(cert.points)))
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
 def make_certificate(plane: Plane, group: str, point_ids, meta: dict | None = None) -> ArcCertificate:

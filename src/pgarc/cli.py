@@ -8,6 +8,7 @@ to standard output, progress to standard error.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -109,16 +110,7 @@ def _cmd_find_min(args) -> int:
     _, h = factor_prime_power(args.q)
     if h > 1:
         other = PGAMMAL if args.group == PGL else PGL
-        other_cfg = SearchConfig(
-            q=args.q,
-            group=other,
-            classification_threshold=args.threshold,
-            target_bound=config.target_bound,
-            worker_count=args.workers,
-            proportions=args.proportions,
-            stealing=args.stealing,
-        )
-        other_result = search.min_complete_size(other_cfg, plane)
+        other_result = search.min_complete_size(dataclasses.replace(config, group=other), plane)
         print(f"classes ({other}): {other_result.class_count}")
     text = _certificate_for(plane, args.group, result.representatives[0], result)
     if args.certificate_out:

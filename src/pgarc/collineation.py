@@ -11,6 +11,13 @@ group elements mapping a given point set onto anything containing the
 standard frame are exactly the frame maps of its ordered 4-subsets, times
 Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
+
+Both run on one kernel, _frame_sweep.  For each unordered non-collinear
+triple T it evaluates the three sides of T at every point of the set
+once; the 6 orderings of T only permute those values, and the frame map
+of (T, D) divides them by their values at D.  In discrete logarithms
+that is two subtractions and two table lookups per image point, with no
+matrix and no normalization.
 """
 
 from __future__ import annotations
@@ -201,49 +208,30 @@ def standard_frame(plane: Plane) -> tuple[int, int, int, int]:
     return (0, 1, q + 1, 2 * q + 2)
 
 
-def _frame_matrix(plane: Plane, quad):
-    """Matrix of the unique PGL element carrying the ordered quadruple onto
-    the ordered standard frame, or None if the quadruple is degenerate.
-
-    Everything is computed with adjugates: projective maps do not care
-    about the determinant scalars, so no division is ever needed.
-    """
-    f = plane.field
-    pts = plane.points
-    p1 = pts[quad[0]]
-    p2 = pts[quad[1]]
-    p3 = pts[quad[2]]
-    p4 = pts[quad[3]]
-    # H maps the standard frame onto the quad: columns a*p3 | b*p2 | c*p1
-    # with (a, b, c) solving [p3 p2 p1] (a b c)^T = p4.  Return adj(H).
-    A = (p3[0], p2[0], p1[0], p3[1], p2[1], p1[1], p3[2], p2[2], p1[2])
-    adjA = _adjugate(f, A)
-    add = f.add
-    mul = f.mul
-    if add(add(mul(A[0], adjA[0]), mul(A[1], adjA[3])), mul(A[2], adjA[6])) == 0:
-        return None  # first three points collinear
-    a = add(add(mul(adjA[0], p4[0]), mul(adjA[1], p4[1])), mul(adjA[2], p4[2]))
-    b = add(add(mul(adjA[3], p4[0]), mul(adjA[4], p4[1])), mul(adjA[5], p4[2]))
-    c = add(add(mul(adjA[6], p4[0]), mul(adjA[7], p4[1])), mul(adjA[8], p4[2]))
-    if a == 0 or b == 0 or c == 0:
-        return None  # fourth point on a side of the triangle
-    H = (
-        mul(a, p3[0]), mul(b, p2[0]), mul(c, p1[0]),
-        mul(a, p3[1]), mul(b, p2[1]), mul(c, p1[1]),
-        mul(a, p3[2]), mul(b, p2[2]), mul(c, p1[2]),
-    )
-    return _adjugate(f, H)
+def _dot(field, u, x) -> int:
+    mul = field.mul
+    return field.add(field.add(mul(u[0], x[0]), mul(u[1], x[1])), mul(u[2], x[2]))
 
 
 def frame_map(plane: Plane, quad) -> Collineation:
     """The unique element of PGL(3,q) carrying the ordered quadruple to the
-    ordered standard frame (sharp transitivity of PGL(3,q) on frames)."""
+    ordered standard frame (sharp transitivity of PGL(3,q) on frames).
+
+    Row i of its matrix is the side of the triangle opposite the point sent
+    to the i-th unit vector, scaled to take the value 1 at the fourth point.
+    """
     if len(set(quad)) != 4:
         raise DegenerateQuadrupleError(f"need 4 distinct points, got {quad}")
-    m = _frame_matrix(plane, quad)
-    if m is None:
+    if any(plane.collinear(*t) for t in combinations(quad, 3)):
         raise DegenerateQuadrupleError(f"quadruple {quad} has 3 collinear points")
-    return Collineation(_normalize_matrix(plane.field, m), 0)
+    p1, p2, p3, d = quad
+    field = plane.field
+    rows = []
+    for a, b in ((p2, p1), (p3, p1), (p3, p2)):
+        side = plane.lines[plane.line_through(a, b)]
+        s = field.inv_list[_dot(field, side, plane.points[d])]
+        rows.extend(field.mul(s, c) for c in side)
+    return Collineation(_normalize_matrix(field, rows), 0)
 
 
 def _complete_to_frame(plane: Plane, pts):
@@ -277,14 +265,72 @@ def _small_canonical(plane: Plane, pts) -> PointSetCanonicalForm:
     return PointSetCanonicalForm(standard_frame(plane)[:n], g)
 
 
+def _frame_sweep(plane: Plane, pts, group: str):
+    """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates.
+
+    For each Frobenius power f, each non-collinear triple of the image
+    set and each of its 6 orderings V0, V1, V2, let w_i(x) be x's value
+    on the side opposite V_i: the rows of adj[V0|V1|V2], up to scalars.
+    The frame map of (V2, V1, V0, D) sends x to
+    (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
+    (f, (V2, V1, V0), ids, r1, r2, odd): ids are the other points off
+    every side, each a valid D, with r_i = log w_i - log w0 mod q-1, so x
+    lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)]; odd
+    holds (log w0, log w1, log w2) of the other points on a side, None
+    for a zero.  Sides are evaluated once per point pair, not per quad.
+    """
+    field = plane.field
+    q = field.q
+    m = q - 1
+    log = field.log
+    mt = field.mul_flat
+    at = field.add_flat
+    lt = plane.line_through_flat
+    n = plane.size
+    k = len(pts)
+    for f in range(field.h) if group == PGAMMAL else range(1):
+        perm = plane.frob_point_perms[f]
+        src = [perm[i] for i in pts]
+        coords = [plane.points[i] for i in src]
+        side = {}
+        for a, b in combinations(range(k), 2):
+            l0, l1, l2 = plane.lines[lt[src[a] * n + src[b]]]
+            side[a, b] = [
+                log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                for x0, x1, x2 in coords
+            ]
+        for tri in combinations(range(k), 3):
+            a, b, c = tri
+            if side[b, c][a] is None:
+                continue  # collinear triple: no frame
+            w = (side[b, c], side[a, c], side[a, b])  # opposite a, b, c
+            rest = [(w[0][x], w[1][x], w[2][x], src[x]) for x in range(k) if x not in tri]
+            good = [p for p in rest if None not in p]
+            odd = [p for p in rest if None in p]
+            ids = [p[3] for p in good]
+            rel = {(i, j): [(p[j] - p[i]) % m for p in good] for i, j in permutations(range(3), 2)}
+            for i, j, l in permutations(range(3)):
+                corners = (src[tri[l]], src[tri[j]], src[tri[i]])
+                yield f, corners, ids, rel[i, j], rel[i, l], [(p[i], p[j], p[l]) for p in odd]
+
+
+def _side_point_image(plane: Plane, logs, d1: int, d2: int) -> int:
+    """Image of an odd point of _frame_sweep under the frame map with fourth
+    point D: (g^l0, g^(l1 - d1), g^(l2 - d2)), a None log giving a 0."""
+    exp = plane.field.exp
+    y = (0 if l is None else exp[(l - d) % len(exp)] for l, d in zip(logs, (0, d1, d2)))
+    return plane.point_id(tuple(y))
+
+
 def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalForm:
     """Least image of an arc under the configured group.
 
-    Iterates over every ordered 4-subset mapped onto the standard frame,
-    for every Frobenius power, and keeps the lexicographically least sorted
-    image.  For arcs this equals the least image over the whole group: any
-    image is an arc, and an arc whose sorted indices are minimal must
-    contain the standard frame (greedy argument on the point ordering).
+    Maps every ordered 4-subset onto the standard frame, for every
+    Frobenius power, and keeps the lexicographically least sorted image.
+    For arcs this equals the least image over the whole group: any image
+    is an arc, and an arc whose sorted indices are minimal must contain
+    the standard frame (greedy argument on the point ordering).  Sets with
+    a collinear triple are rejected with DegenerateSetError.
     """
     _check_group(group)
     pts = sorted(set(points))
@@ -292,62 +338,23 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
         raise EmptySetError("cannot canonicalize the empty set")
     if len(pts) < 4:
         return _small_canonical(plane, pts)
+    bad = plane.collinear_triple(pts)
+    if bad is not None:
+        raise DegenerateSetError(f"not an arc: points {bad} are collinear")
 
-    field = plane.field
-    frob_range = range(field.h) if group == PGAMMAL else range(1)
-    frame = standard_frame(plane)
-    q = field.q
-    mt = field.mul_flat
-    at = field.add_flat
-    inv = field.inv_list
-    pindex = plane.point_index
-    coords = plane.points
-
-    best_rest = None
-    best_m = None
-    best_f = 0
-    for f in frob_range:
-        if f:
-            perm = plane.frob_point_perms[f]
-            src = sorted(perm[i] for i in pts)
-        else:
-            src = pts
-        src_coords = [coords[i] for i in src]
-        for quad in permutations(range(len(src)), 4):
-            m = _frame_matrix(plane, tuple(src[k] for k in quad))
-            if m is None:
-                continue
-            # the quad itself lands exactly on the frame; for arcs every
-            # other image index exceeds the frame's, so only they compete
-            m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-            in_quad = set(quad)
-            rest = []
-            for k, (x0, x1, x2) in enumerate(src_coords):
-                if k in in_quad:
-                    continue
-                y0 = at[at[mt[m0 * q + x0] * q + mt[m1 * q + x1]] * q + mt[m2 * q + x2]]
-                y1 = at[at[mt[m3 * q + x0] * q + mt[m4 * q + x1]] * q + mt[m5 * q + x2]]
-                y2 = at[at[mt[m6 * q + x0] * q + mt[m7 * q + x1]] * q + mt[m8 * q + x2]]
-                if y0:
-                    if y0 != 1:
-                        s = inv[y0]
-                        rest.append(pindex[(1, mt[s * q + y1], mt[s * q + y2])])
-                    else:
-                        rest.append(pindex[(1, y1, y2)])
-                elif y1:
-                    if y1 != 1:
-                        rest.append(pindex[(0, 1, mt[inv[y1] * q + y2])])
-                    else:
-                        rest.append(pindex[(0, 1, y2)])
-                else:
-                    rest.append(0)
-            rest.sort()
-            if best_rest is None or rest < best_rest:
-                best_rest = rest
-                best_m = m
-                best_f = f
-    witness = Collineation(_normalize_matrix(field, best_m), best_f)
-    return PointSetCanonicalForm(frame + tuple(best_rest), witness)
+    row, exp = plane.affine_row, plane.field.exp
+    # V2, V1, V0 land on the first three frame points; D and every other
+    # point land on (1, a, b) with a, b != 0, at indices >= D's 2q + 2
+    best = [plane.size]
+    for f, corners, ids, r1, r2, _ in _frame_sweep(plane, pts, group):
+        pairs = list(zip(r1, r2))
+        images = [sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) for d1, d2 in pairs]
+        least = min(images)
+        if least < best:
+            best = least
+            best_f, best_quad = f, (*corners, ids[images.index(least)])
+    witness = Collineation(frame_map(plane, best_quad).matrix, best_f)
+    return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), witness)
 
 
 def stabilizer(plane: Plane, points, group: str = PGL):
@@ -356,47 +363,34 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     Fixes one ordered general-position quadruple Q0 of the set; every
     stabilizing element must carry some ordered 4-subset onto Q0, so
     sweeping frame maps of all ordered 4-subsets (per Frobenius power)
-    finds every element exactly once.
+    finds every element exactly once.  Exact on sets that are not arcs.
     """
     _check_group(group)
     pts = sorted(set(points))
     if len(pts) < 4:
         raise DegenerateSetError("stabilizer needs at least 4 points")
     field = plane.field
-
-    base = None
-    for cand in combinations(pts, 4):
-        if _frame_matrix(plane, cand) is not None:
-            base = cand
+    for quad in combinations(pts, 4):
+        if plane.collinear_triple(quad) is None:
+            base = frame_map(plane, quad)
             break
-    if base is None:
+    else:
         raise DegenerateSetError("no 4-subset in general position")
-    A = _frame_matrix(plane, base)
-    adjA = _adjugate(field, A)
-    target_mask = 0
-    for i in pts:
-        target_mask |= 1 << apply_matrix(plane, A, i)
+    target = {apply(plane, base, i) for i in pts}
+    back = inverse(field, base)
 
-    frob_range = range(field.h) if group == PGAMMAL else range(1)
+    row, exp = plane.affine_row, field.exp
     elements = []
-    for f in frob_range:
-        if f:
-            perm = plane.frob_point_perms[f]
-            src = sorted(perm[i] for i in pts)
-        else:
-            src = pts
-        for quad in permutations(src, 4):
-            B = _frame_matrix(plane, quad)
-            if B is None:
-                continue
-            ok = True
-            for i in src:
-                if not (target_mask >> apply_matrix(plane, B, i)) & 1:
-                    ok = False
+    for f, corners, ids, r1, r2, odd in _frame_sweep(plane, pts, group):
+        pairs = list(zip(r1, r2))
+        for d, d1, d2 in zip(ids, r1, r2):
+            for a, b in pairs:
+                if row[a - d1] + exp[b - d2] not in target:
                     break
-            if ok:
-                m = _normalize_matrix(field, _matmul(field, adjA, B))
-                elements.append(Collineation(m, f))
+            else:
+                if all(_side_point_image(plane, x, d1, d2) in target for x in odd):
+                    g = frame_map(plane, (*corners, d))
+                    elements.append(compose(field, back, Collineation(g.matrix, f)))
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
 

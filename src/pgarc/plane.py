@@ -43,6 +43,8 @@ class Plane:
         self.points = points
         self.point_index = {t: i for i, t in enumerate(points)}
         self.lines = points  # same triples read as line coefficients
+        # (1, exp[a], exp[b]) has index affine_row[a] + exp[b]
+        self.affine_row = [q + 1 + q * e for e in field.exp]
 
         mt = field.mul_flat
         at = field.add_flat

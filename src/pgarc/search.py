@@ -250,7 +250,8 @@ def extend(
     if size0 == bound:
         return results
 
-    prune = level_map is not None and rep_index is not None
+    # with a single class at the root size every child's owner is index 0
+    prune = level_map is not None and rep_index is not None and len(level_map) > 1
 
     # the root's secant block against each candidate never changes along a
     # descent, so fold those size0 mask updates into one precomputed AND

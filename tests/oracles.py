@@ -6,14 +6,35 @@ determinants over the field (never from the plane's line tables),
 exhaustive arc enumeration without any isomorph rejection, and orbit
 partition under an explicit theorem-backed generating set of the group
 (elementary transvections generate SL(3,q); one primitive diagonal
-extends them to GL; the Frobenius map extends PGL to PGammaL).
+extends them to GL; the Frobenius map extends PGL to PGammaL).  The
+canonical-form and stabilizer sweeps over ordered 4-subsets, with one
+frame matrix per quadruple, are the slow reference for the log-domain
+frame sweep of pgarc.collineation.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, permutations, product
 
-from pgarc.collineation import Collineation, IDENTITY, compose
+from pgarc.collineation import (
+    IDENTITY,
+    PGAMMAL,
+    PGL,
+    Collineation,
+    DegenerateSetError,
+    EmptySetError,
+    PointSetCanonicalForm,
+    _adjugate,
+    _check_group,
+    _matmul,
+    _normalize_matrix,
+    _small_canonical,
+    apply_matrix,
+    classify_structure,
+    compose,
+    element_order,
+    standard_frame,
+)
 
 
 def det3(field, t1, t2, t3) -> int:
@@ -100,8 +121,6 @@ def gl3_generators(field) -> list[tuple[int, ...]]:
 
 def generator_point_maps(plane, group: str) -> list[list[int]]:
     """Point permutations of the group generators."""
-    from pgarc.collineation import apply_matrix
-
     maps = []
     for m in gl3_generators(plane.field):
         maps.append([apply_matrix(plane, m, i) for i in range(plane.size)])
@@ -214,3 +233,166 @@ def all_pgl_matrices_q2(field) -> list[tuple[int, ...]]:
         if det3(field, entries[0:3], entries[3:6], entries[6:9]) != 0:
             out.append(entries)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the ordered-quadruple frame sweep: the slow reference for the log-domain
+# kernel in pgarc.collineation, kept as it was before that kernel replaced it
+
+
+def _frame_matrix(plane, quad):
+    """Matrix of the unique PGL element carrying the ordered quadruple onto
+    the ordered standard frame, or None if the quadruple is degenerate.
+
+    Everything is computed with adjugates: projective maps do not care
+    about the determinant scalars, so no division is ever needed.
+    """
+    f = plane.field
+    pts = plane.points
+    p1 = pts[quad[0]]
+    p2 = pts[quad[1]]
+    p3 = pts[quad[2]]
+    p4 = pts[quad[3]]
+    # H maps the standard frame onto the quad: columns a*p3 | b*p2 | c*p1
+    # with (a, b, c) solving [p3 p2 p1] (a b c)^T = p4.  Return adj(H).
+    A = (p3[0], p2[0], p1[0], p3[1], p2[1], p1[1], p3[2], p2[2], p1[2])
+    adjA = _adjugate(f, A)
+    add = f.add
+    mul = f.mul
+    if add(add(mul(A[0], adjA[0]), mul(A[1], adjA[3])), mul(A[2], adjA[6])) == 0:
+        return None  # first three points collinear
+    a = add(add(mul(adjA[0], p4[0]), mul(adjA[1], p4[1])), mul(adjA[2], p4[2]))
+    b = add(add(mul(adjA[3], p4[0]), mul(adjA[4], p4[1])), mul(adjA[5], p4[2]))
+    c = add(add(mul(adjA[6], p4[0]), mul(adjA[7], p4[1])), mul(adjA[8], p4[2]))
+    if a == 0 or b == 0 or c == 0:
+        return None  # fourth point on a side of the triangle
+    H = (
+        mul(a, p3[0]), mul(b, p2[0]), mul(c, p1[0]),
+        mul(a, p3[1]), mul(b, p2[1]), mul(c, p1[1]),
+        mul(a, p3[2]), mul(b, p2[2]), mul(c, p1[2]),
+    )
+    return _adjugate(f, H)
+
+
+def sweep_canonicalize(plane, points, group: str = PGL) -> PointSetCanonicalForm:
+    """Least image of an arc under the configured group.
+
+    Iterates over every ordered 4-subset mapped onto the standard frame,
+    for every Frobenius power, and keeps the lexicographically least sorted
+    image.  For arcs this equals the least image over the whole group: any
+    image is an arc, and an arc whose sorted indices are minimal must
+    contain the standard frame (greedy argument on the point ordering).
+    """
+    _check_group(group)
+    pts = sorted(set(points))
+    if not pts:
+        raise EmptySetError("cannot canonicalize the empty set")
+    if len(pts) < 4:
+        return _small_canonical(plane, pts)
+
+    field = plane.field
+    frob_range = range(field.h) if group == PGAMMAL else range(1)
+    frame = standard_frame(plane)
+    q = field.q
+    mt = field.mul_flat
+    at = field.add_flat
+    inv = field.inv_list
+    pindex = plane.point_index
+    coords = plane.points
+
+    best_rest = None
+    best_m = None
+    best_f = 0
+    for f in frob_range:
+        if f:
+            perm = plane.frob_point_perms[f]
+            src = sorted(perm[i] for i in pts)
+        else:
+            src = pts
+        src_coords = [coords[i] for i in src]
+        for quad in permutations(range(len(src)), 4):
+            m = _frame_matrix(plane, tuple(src[k] for k in quad))
+            if m is None:
+                continue
+            # the quad itself lands exactly on the frame; for arcs every
+            # other image index exceeds the frame's, so only they compete
+            m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+            in_quad = set(quad)
+            rest = []
+            for k, (x0, x1, x2) in enumerate(src_coords):
+                if k in in_quad:
+                    continue
+                y0 = at[at[mt[m0 * q + x0] * q + mt[m1 * q + x1]] * q + mt[m2 * q + x2]]
+                y1 = at[at[mt[m3 * q + x0] * q + mt[m4 * q + x1]] * q + mt[m5 * q + x2]]
+                y2 = at[at[mt[m6 * q + x0] * q + mt[m7 * q + x1]] * q + mt[m8 * q + x2]]
+                if y0:
+                    if y0 != 1:
+                        s = inv[y0]
+                        rest.append(pindex[(1, mt[s * q + y1], mt[s * q + y2])])
+                    else:
+                        rest.append(pindex[(1, y1, y2)])
+                elif y1:
+                    if y1 != 1:
+                        rest.append(pindex[(0, 1, mt[inv[y1] * q + y2])])
+                    else:
+                        rest.append(pindex[(0, 1, y2)])
+                else:
+                    rest.append(0)
+            rest.sort()
+            if best_rest is None or rest < best_rest:
+                best_rest = rest
+                best_m = m
+                best_f = f
+    witness = Collineation(_normalize_matrix(field, best_m), best_f)
+    return PointSetCanonicalForm(frame + tuple(best_rest), witness)
+
+
+def sweep_stabilizer(plane, points, group: str = PGL):
+    """Full setwise stabilizer of a point set within the configured group.
+
+    Fixes one ordered general-position quadruple Q0 of the set; every
+    stabilizing element must carry some ordered 4-subset onto Q0, so
+    sweeping frame maps of all ordered 4-subsets (per Frobenius power)
+    finds every element exactly once.
+    """
+    _check_group(group)
+    pts = sorted(set(points))
+    if len(pts) < 4:
+        raise DegenerateSetError("stabilizer needs at least 4 points")
+    field = plane.field
+
+    base = None
+    for cand in combinations(pts, 4):
+        if _frame_matrix(plane, cand) is not None:
+            base = cand
+            break
+    if base is None:
+        raise DegenerateSetError("no 4-subset in general position")
+    A = _frame_matrix(plane, base)
+    adjA = _adjugate(field, A)
+    target_mask = 0
+    for i in pts:
+        target_mask |= 1 << apply_matrix(plane, A, i)
+
+    frob_range = range(field.h) if group == PGAMMAL else range(1)
+    elements = []
+    for f in frob_range:
+        if f:
+            perm = plane.frob_point_perms[f]
+            src = sorted(perm[i] for i in pts)
+        else:
+            src = pts
+        for quad in permutations(src, 4):
+            B = _frame_matrix(plane, quad)
+            if B is None:
+                continue
+            ok = True
+            for i in src:
+                if not (target_mask >> apply_matrix(plane, B, i)) & 1:
+                    ok = False
+                    break
+            if ok:
+                m = _normalize_matrix(field, _matmul(field, adjA, B))
+                elements.append(Collineation(m, f))
+    orders = tuple(sorted(element_order(field, g) for g in elements))
+    return elements, classify_structure(orders)

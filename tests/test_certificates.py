@@ -86,6 +86,14 @@ def test_points_serialized_in_index_order():
         assert cert.points == sorted(cert.points)
 
 
+def test_serialize_leaves_caller_points_unsorted():
+    cert = load_fixture("arc14_q31_s3")
+    cert.points.reverse()
+    shuffled = list(cert.points)
+    assert serialize_certificate(cert) == fixture_text("arc14_q31_s3")
+    assert cert.points == shuffled
+
+
 def test_parse_rejects_malformed():
     with pytest.raises(MalformedCertificateError):
         parse_certificate("not json {")
@@ -242,6 +250,15 @@ def test_cli_find_min_emits_verifiable_certificate(tmp_path):
     # a fresh process re-verifies the emitted certificate
     check = run_cli("verify", str(cert_path))
     assert check.returncode == 0, check.stdout + check.stderr
+
+
+def test_cli_find_min_checkpoints_both_groups(tmp_path):
+    """At q = p^h with h > 1 the second group's run keeps --checkpoint-dir."""
+    proc = run_cli("find-min", "--q", "4", "--checkpoint-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "classes (pgammal): 1" in proc.stdout
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["q4_pgammal_level4.txt", "q4_pgl_level4.txt"]
 
 
 def test_cli_find_min_q11(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from pgarc.collineation import (
     DegenerateQuadrupleError,
+    DegenerateSetError,
     IDENTITY,
     PGAMMAL,
     PGL,
@@ -22,6 +23,7 @@ from pgarc.collineation import (
     stabilizer,
     standard_frame,
 )
+import oracles
 from oracles import all_pgl_matrices_q2, group_closure, mask_image
 from support import get_field, get_plane
 
@@ -208,6 +210,44 @@ def test_canonicalize_witness_achieves_canon():
         arc = oracles.random_arc(pl, rng, max_size=7)
         form = canonicalize(pl, arc, PGAMMAL)
         assert tuple(sorted(apply(pl, form.witness, p) for p in arc)) == form.canon
+
+
+def on_a_secant(plane, arc):
+    """A point outside the arc on the line through its first two points."""
+    line = plane.points_on_line[plane.line_through(arc[0], arc[1])]
+    return next(x for x in line if x not in arc)
+
+
+@pytest.mark.parametrize("q, group", [(7, PGL), (8, PGAMMAL)])
+def test_canonicalize_rejects_non_arcs(q, group):
+    pl = get_plane(q)
+    frame = list(standard_frame(pl))
+    five = frame + [on_a_secant(pl, frame)]
+    assert pl.collinear_triple(five) is not None
+    with pytest.raises(DegenerateSetError):
+        canonicalize(pl, five, group)
+
+
+def test_log_domain_sweep_matches_ordered_quadruple_sweep():
+    """Differential test against the frame-matrix-per-quadruple sweep:
+    same canonical form, a witness onto it, same stabilizer elements on
+    arcs and on arcs plus one point on a secant."""
+    cases = [(5, PGL), (7, PGL), (8, PGL), (8, PGAMMAL), (9, PGL), (9, PGAMMAL),
+             (31, PGL), (32, PGL), (32, PGAMMAL)]
+    for q, group in cases:
+        pl = get_plane(q)
+        rng = random.Random(f"sweep:{q}:{group}")
+        for n in range(4, 9):
+            arc = oracles.random_arc(pl, rng, max_size=n)
+            form = canonicalize(pl, arc, group)
+            assert form.canon == oracles.sweep_canonicalize(pl, arc, group).canon, (q, group, arc)
+            assert tuple(sorted(apply(pl, form.witness, p) for p in arc)) == form.canon
+            for pts in (arc, arc + [on_a_secant(pl, arc)]):
+                elements, structure = stabilizer(pl, pts, group)
+                ref_elements, ref_structure = oracles.sweep_stabilizer(pl, pts, group)
+                assert len(elements) == len(set(elements))
+                assert set(elements) == set(ref_elements), (q, group, pts)
+                assert structure == ref_structure
 
 
 def test_frame_stabilizer_is_s4():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,14 @@ def test_checkpoint_round_trip(tmp_path):
     ]
     loaded = load_level(tmp_path, 5, PGL, 6)
     assert loaded.count == levels[-1].count
+
+
+def test_q31_level6_matches_committed_checkpoint(tmp_path):
+    """Golden file: the 905 size-6 classes of PG(2,31), as save_level writes them."""
+    level = classification(31, PGL, 6)[-1]
+    path = save_level(tmp_path, 31, PGL, level)
+    golden = Path(__file__).resolve().parents[1] / "checkpoints" / path.name
+    assert path.read_bytes() == golden.read_bytes()
 
 
 def test_checkpoint_header_mismatch_rejected(tmp_path):
