@@ -4,9 +4,10 @@
 Reproduces the class counts per size at the two orders where the
 minimum complete arc size is 14: 11 and 905 classes of 5- and 6-arcs up
 to PGL(3,31), and 3 and 213 up to PGammaL(3,32).  Size 7 (66,272 and
-16,593 classes) is reachable with --threshold 7 and a long coffee;
-size 8 needs serious CPU time and a compiled inner loop would be the
-sensible next step before attempting it here.
+16,593 classes) takes a few minutes with --threshold 7 --workers 2; the
+runs are recorded in results/classify_q31_level7.log and
+results/classify_q32_level7.log.  Size 8 (3,768,298 and 1,031,750
+classes) needs far more CPU time and memory.
 """
 
 import argparse

@@ -12,12 +12,12 @@ standard frame are exactly the frame maps of its ordered 4-subsets, times
 Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
-Both run on one kernel, _frame_sweep.  For each unordered non-collinear
-triple T it evaluates the three sides of T at every point of the set
-once; the 6 orderings of T only permute those values, and the frame map
-of (T, D) divides them by their values at D.  In discrete logarithms
-that is two subtractions and two table lookups per image point, with no
-matrix and no normalization.
+Both, and the early-exit test is_canonical, run on one kernel,
+_frame_sweep.  For each unordered non-collinear triple T it evaluates
+the three sides of T at every point of the set once; the 6 orderings of
+T only permute those values, and the frame map of (T, D) divides them
+by their values at D.  In discrete logarithms that is two subtractions
+and two table lookups per image point, with no matrix and no normalization.
 """
 
 from __future__ import annotations
@@ -355,6 +355,23 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
             best_f, best_quad = f, (*corners, ids[images.index(least)])
     witness = Collineation(frame_map(plane, best_quad).matrix, best_f)
     return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), witness)
+
+
+def is_canonical(plane: Plane, points, group: str = PGL) -> bool:
+    """canonicalize(...).canon == sorted(points), stopping at the first smaller image."""
+    _check_group(group)
+    pts = sorted(set(points))
+    if plane.collinear_triple(pts) is not None:
+        raise DegenerateSetError(f"not an arc: {pts} has a collinear triple")
+    if tuple(pts[:4]) != standard_frame(plane)[: len(pts)]:
+        return False
+    row, exp, rest = plane.affine_row, plane.field.exp, pts[3:]
+    for _, _, _, r1, r2, _ in _frame_sweep(plane, pts, group):
+        pairs = list(zip(r1, r2))
+        for d1, d2 in pairs:
+            if sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) < rest:
+                return False
+    return True
 
 
 def stabilizer(plane: Plane, points, group: str = PGL):

@@ -1,11 +1,11 @@
 """Orderly classification of arcs and pruned backtracking extension.
 
-The classification builds, size by size, the exact list of equivalence
-classes of arcs up to a threshold: level 4 is the single frame class and
-level n+1 is obtained by extending every level-n representative by every
-candidate point, canonicalizing each child and deduplicating.  Because
-every (n+1)-arc contains an n-arc equivalent to some representative,
-the level counts are exact class counts.
+The classification lists, size by size, the least image (canonical form)
+of every class of arcs up to a threshold.  Level 4 is the frame; level
+n+1 holds each R + (x,), R in level n and x > max(R) a candidate, that
+is its own least image.  If g(T) < T for T = S - {max S}, then g(S) < S:
+adding g(max S) cannot move the first difference.  So each canonical
+(n+1)-arc comes once, from its canonical parent, already sorted.
 
 Above the threshold a depth-first extension takes over: candidates are
 added in increasing point-index order (each child only considers points
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
-from .collineation import GROUPS, PGL, canonicalize, standard_frame
+from .collineation import GROUPS, PGL, canonicalize, is_canonical, standard_frame
 from .gf import build_field, factor_prime_power
 from .plane import Plane, build_plane
 
@@ -116,15 +116,13 @@ def default_plane(q: int) -> Plane:
 # classification
 
 
-def _children_of(plane: Plane, group: str, rep: tuple[int, ...]) -> set:
-    out = set()
-    for x in iter_bits(candidate_mask(plane, rep)):
-        out.add(canonicalize(plane, rep + (x,), group).canon)
-    return out
+def _canonical_children(plane: Plane, group: str, rep: tuple[int, ...]) -> list:
+    above = candidate_mask(plane, rep) >> (rep[-1] + 1) << (rep[-1] + 1)
+    return [rep + (x,) for x in iter_bits(above) if is_canonical(plane, rep + (x,), group)]
 
 
-def _classify_job(i: int, q: int, group: str, reps) -> frozenset:
-    return frozenset(_children_of(default_plane(q), group, reps[i]))
+def _classify_job(i: int, q: int, group: str, reps) -> list:
+    return _canonical_children(default_plane(q), group, reps[i])
 
 
 def _level_filename(q: int, group: str, size: int) -> str:
@@ -160,12 +158,13 @@ def load_level(directory, q: int, group: str, size: int) -> ClassificationLevel 
 def classify(config: SearchConfig, plane: Plane | None = None) -> list[ClassificationLevel]:
     """Exact class representatives of arcs for sizes 4..threshold.
 
-    The threshold is clamped to the largest nonempty level.  With a
-    checkpoint directory, completed levels are written out and a rerun
-    resumes after the last complete one.
+    Orderly generation (module docstring), with max_level_classes checked
+    after each parent.  The threshold is clamped to the largest nonempty
+    level.  With a checkpoint directory, completed levels are written out
+    and a rerun resumes after the last complete one.
     """
     plane = plane if plane is not None else default_plane(config.q)
-    group = config.group
+    group, budget = config.group, config.max_level_classes
     ckdir = config.checkpoint_dir
     if ckdir:
         Path(ckdir).mkdir(parents=True, exist_ok=True)
@@ -186,23 +185,22 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
                 levels.append(loaded)
                 continue
         prev = levels[-1].representatives
-        canons: set = set()
         if config.worker_count > 1 and len(prev) > 1:
             props = config.proportions or scheduler.equal_proportions(config.worker_count)
             part = scheduler.partition(len(prev), props)
             job = functools.partial(
                 _classify_job, q=config.q, group=group, reps=tuple(prev)
             )
-            for chunk in scheduler.run_jobs(part, job, stealing=config.stealing):
-                canons |= chunk
+            chunks = scheduler.run_jobs(part, job, stealing=config.stealing)
         else:
-            for rep in prev:
-                canons |= _children_of(plane, group, rep)
-        if config.max_level_classes is not None and len(canons) > config.max_level_classes:
-            raise MemoryBudgetExceededError(
-                f"level {size} has {len(canons)} classes, budget {config.max_level_classes}"
-            )
-        level = ClassificationLevel(size, sorted(canons))
+            chunks = (_canonical_children(plane, group, rep) for rep in prev)
+        reps: list = []
+        for chunk in chunks:  # in parent order, so the level comes out sorted
+            reps += chunk
+            if budget is not None and len(reps) > budget:
+                raise MemoryBudgetExceededError(f"level {size} reached {len(reps)} "
+                                                f"classes, over the budget of {budget}")
+        level = ClassificationLevel(size, reps)
         if ckdir:
             save_level(ckdir, config.q, group, level)
         if not level.representatives:

@@ -9,13 +9,17 @@ partition under an explicit theorem-backed generating set of the group
 extends them to GL; the Frobenius map extends PGL to PGammaL).  The
 canonical-form and stabilizer sweeps over ordered 4-subsets, with one
 frame matrix per quadruple, are the slow reference for the log-domain
-frame sweep of pgarc.collineation.
+frame sweep of pgarc.collineation.  Classification by canonicalizing
+every child of every representative and deduplicating in a set is the
+slow reference for the orderly (canonical-parent) classification of
+pgarc.search.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import (
     IDENTITY,
     PGAMMAL,
@@ -30,6 +34,7 @@ from pgarc.collineation import (
     _normalize_matrix,
     _small_canonical,
     apply_matrix,
+    canonicalize,
     classify_structure,
     compose,
     element_order,
@@ -396,3 +401,25 @@ def sweep_stabilizer(plane, points, group: str = PGL):
                 elements.append(Collineation(m, f))
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
+
+
+def _children_of(plane, group: str, rep: tuple[int, ...]) -> set:
+    out = set()
+    for x in iter_bits(candidate_mask(plane, rep)):
+        out.add(canonicalize(plane, rep + (x,), group).canon)
+    return out
+
+
+def set_classify(plane, group: str, threshold: int) -> list[list[tuple[int, ...]]]:
+    """Representatives per size 4..threshold, stopping at the first empty
+    level: every child of every representative is canonicalized and the
+    level is the sorted set of those canonical forms."""
+    levels = [[canonicalize(plane, standard_frame(plane), group).canon]]
+    for _ in range(5, threshold + 1):
+        canons: set = set()
+        for rep in levels[-1]:
+            canons |= _children_of(plane, group, rep)
+        if not canons:
+            break
+        levels.append(sorted(canons))
+    return levels

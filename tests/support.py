@@ -7,7 +7,6 @@ builds each exactly once per session.
 from __future__ import annotations
 
 import functools
-import sys
 
 from pgarc.search import (
     SearchConfig,
@@ -16,8 +15,6 @@ from pgarc.search import (
     default_plane,
     min_complete_size,
 )
-
-sys.setrecursionlimit(100000)
 
 get_field = default_field
 get_plane = default_plane

@@ -20,12 +20,13 @@ from pgarc.collineation import (
     generating_subset,
     group_order,
     inverse,
+    is_canonical,
     stabilizer,
     standard_frame,
 )
 import oracles
 from oracles import all_pgl_matrices_q2, group_closure, mask_image
-from support import get_field, get_plane
+from support import classification, get_field, get_plane
 
 
 def random_collineation(plane, rng, group=PGL):
@@ -226,6 +227,48 @@ def test_canonicalize_rejects_non_arcs(q, group):
     assert pl.collinear_triple(five) is not None
     with pytest.raises(DegenerateSetError):
         canonicalize(pl, five, group)
+    # rejected before the frame-prefix test can answer False
+    line = pl.points_on_line[pl.line_through(0, 1)][:3]
+    for bad in (five, line):
+        with pytest.raises(DegenerateSetError):
+            is_canonical(pl, bad, group)
+
+
+def test_is_canonical_agrees_with_canonicalize():
+    """is_canonical(S) holds exactly when S is its own canonical form: on
+    every child of every representative (all candidates, not only those
+    above the representative's last point), on small sets, and on random
+    q = 31 arcs, their canonical forms and the children of those."""
+
+    def agrees(pl, pts, group):
+        want = canonicalize(pl, pts, group).canon == tuple(sorted(pts))
+        return is_canonical(pl, pts, group) == want
+
+    from pgarc.arcs import candidate_mask, iter_bits
+
+    for q, group in ((7, PGL), (9, PGAMMAL)):
+        pl = get_plane(q)
+        for lv in classification(q, group, q + 2):
+            for rep in lv.representatives:
+                assert is_canonical(pl, rep, group)
+                for x in iter_bits(candidate_mask(pl, rep)):
+                    assert agrees(pl, rep + (x,), group), (q, group, rep, x)
+        for n in (1, 2, 3):
+            for pts in combinations(range(2 * q + 3), n):
+                if pl.collinear_triple(pts) is None:
+                    assert agrees(pl, pts, group), pts
+
+    pl = get_plane(31)
+    rng = random.Random("is_canonical:31")
+    for n in (6, 7, 8):
+        for _ in range(3):
+            arc = oracles.random_arc(pl, rng, max_size=n)
+            canon = canonicalize(pl, arc, PGL).canon
+            parent = canon[:-1]
+            cands = list(iter_bits(candidate_mask(pl, parent)))
+            children = [parent + (x,) for x in rng.sample(cands, 8)]
+            for pts in (arc, canon, *children):
+                assert agrees(pl, pts, PGL), pts
 
 
 def test_log_domain_sweep_matches_ordered_quadruple_sweep():

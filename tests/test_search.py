@@ -189,27 +189,66 @@ def test_checkpoint_header_mismatch_rejected(tmp_path):
         load_level(tmp_path, 5, PGL, 4)
 
 
+WORKER_SETUPS = [
+    dict(worker_count=1),
+    dict(worker_count=3, proportions=(10, 30, 60)),
+    dict(worker_count=3, stealing=True),
+]
+
+
 def test_classification_deterministic_across_workers():
-    single = classify(SearchConfig(q=5, classification_threshold=6, worker_count=1))
-    multi = classify(SearchConfig(q=5, classification_threshold=6, worker_count=3))
-    stolen = classify(
-        SearchConfig(q=5, classification_threshold=6, worker_count=3, stealing=True)
-    )
-    assert [lv.representatives for lv in single] == [
-        lv.representatives for lv in multi
+    """Levels 6 and 7 at q = 11 grow from 2 and 15 parents, so the worker
+    path of classify runs, statically and with stealing."""
+    runs = [
+        [lv.representatives for lv in classify(
+            SearchConfig(q=11, classification_threshold=7, **kw))]
+        for kw in WORKER_SETUPS
     ]
-    assert [lv.representatives for lv in single] == [
-        lv.representatives for lv in stolen
-    ]
+    assert [len(reps) for reps in runs[0]] == [1, 2, 15, 21]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def test_memory_budget():
+def test_min_complete_size_deterministic_across_workers():
+    """Extension at bound 7 runs over the 15 classes of 6-arcs at q = 11."""
+    runs = []
+    for kw in WORKER_SETUPS:
+        r = min_complete_size(SearchConfig(q=11, classification_threshold=6, **kw))
+        runs.append((r.size, r.class_count, r.representatives))
+    assert runs[0][:2] == (7, 1)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_memory_budget(tmp_path):
+    """The budget is checked while the level accumulates, serially and
+    while merging worker chunks: the first of the two 5-arc parents at
+    q = 11 already has 14 of the 15 children.  The level that breaks the
+    budget is not checkpointed."""
     from pgarc.search import MemoryBudgetExceededError
 
-    with pytest.raises(MemoryBudgetExceededError):
-        classify(
-            SearchConfig(q=7, classification_threshold=6, max_level_classes=2)
-        )
+    message = "level 6 reached 14 classes, over the budget of 10"
+    for workers in (1, 2):
+        ckdir = tmp_path / str(workers)
+        cfg = SearchConfig(q=11, classification_threshold=7, worker_count=workers,
+                           checkpoint_dir=str(ckdir), max_level_classes=10)
+        with pytest.raises(MemoryBudgetExceededError, match=message):
+            classify(cfg)
+        assert sorted(p.name for p in ckdir.iterdir()) == [
+            "q11_pgl_level4.txt", "q11_pgl_level5.txt"
+        ]
+
+
+@pytest.mark.parametrize(
+    "q, group, threshold",
+    [(5, PGL, 7), (7, PGL, 9), (9, PGL, 11), (11, PGL, 13),
+     (8, PGAMMAL, 10), (9, PGAMMAL, 11), (13, PGL, 7)],
+)
+def test_classify_matches_set_based_oracle(q, group, threshold):
+    """Orderly classification against canonicalizing every child and
+    deduplicating in a set, at every size (q = 13: up to size 7)."""
+    from oracles import set_classify
+
+    levels = classification(q, group, threshold)
+    assert [lv.representatives for lv in levels] == set_classify(get_plane(q), group, threshold)
 
 
 def test_q31_single_branch_extension_smoke():
