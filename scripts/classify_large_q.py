@@ -34,7 +34,6 @@ def main() -> int:
             q=q,
             group=group,
             classification_threshold=args.threshold,
-            target_bound=max(13, args.threshold),
             worker_count=args.workers,
             checkpoint_dir=args.checkpoint_dir,
         )

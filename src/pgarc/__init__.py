@@ -1,6 +1,5 @@
 """Exact classification, search and verification of complete arcs in PG(2,q)."""
 
-from .arcs import Arc, NotACandidateError
 from .certificates import (
     ArcCertificate,
     load_fixture,
@@ -40,13 +39,11 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "ArcCertificate",
     "ClassificationLevel",
     "Collineation",
     "FieldTable",
     "GroupStructure",
-    "NotACandidateError",
     "PGAMMAL",
     "PGL",
     "Partition",

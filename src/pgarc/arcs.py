@@ -1,23 +1,14 @@
-"""Arc bookkeeping: membership, secant coverage, extension candidates.
+"""Extension candidates of an arc as an integer bitmask.
 
-An arc is a point set with no 3 collinear members.  For every non-member
-point the coverage count is the number of secants (lines through exactly
-2 members) passing through it; the candidate set is exactly the points
-with coverage 0, i.e. the points whose addition preserves the arc
-property.  Candidate sets are kept as integer bitmasks so a completeness
-test is one comparison and extension updates are a handful of word-wide
-mask operations.
+An arc is a point set with no 3 collinear members.  Its candidates are
+the non-member points on no secant (line through 2 members), i.e. the
+points whose addition preserves the arc property.  Candidate sets are
+integer bitmasks, so a completeness test is one comparison with 0.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .plane import Plane
-
-
-class NotACandidateError(ValueError):
-    """Adding this point would duplicate a member or create a collinear triple."""
 
 
 def iter_bits(mask: int):
@@ -28,102 +19,8 @@ def iter_bits(mask: int):
         mask ^= b
 
 
-def bit_count(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-def secant_union_mask(plane: Plane, members) -> int:
-    """Bitmask of all points lying on some line through 2 members."""
-    n = plane.size
-    lt = plane.line_through_flat
-    lm = plane.line_masks
-    u = 0
-    mem = list(members)
-    for i, a in enumerate(mem):
-        base = a * n
-        for b in mem[i + 1 :]:
-            u |= lm[lt[base + b]]
-    return u
-
-
 def candidate_mask(plane: Plane, members) -> int:
     mem_mask = 0
     for m in members:
         mem_mask |= 1 << m
-    return plane.all_points_mask & ~secant_union_mask(plane, members) & ~mem_mask
-
-
-def coverage_counts(plane: Plane, members) -> list[int]:
-    """Secants through each point, recomputed from scratch."""
-    cov = [0] * plane.size
-    n = plane.size
-    lt = plane.line_through_flat
-    for a, b in combinations(sorted(members), 2):
-        for x in plane.points_on_line[lt[a * n + b]]:
-            cov[x] += 1
-    return cov
-
-
-class Arc:
-    """Immutable arc with incrementally maintained coverage and candidates."""
-
-    __slots__ = ("plane", "members", "members_mask", "coverage", "candidates_mask")
-
-    def __init__(self, plane, members, members_mask, coverage, candidates_mask):
-        self.plane = plane
-        self.members = members
-        self.members_mask = members_mask
-        self.coverage = coverage
-        self.candidates_mask = candidates_mask
-
-    @classmethod
-    def empty(cls, plane: Plane) -> "Arc":
-        return cls(plane, (), 0, (0,) * plane.size, plane.all_points_mask)
-
-    @classmethod
-    def from_points(cls, plane: Plane, points) -> "Arc":
-        """Build an arc from scratch; rejects sets with a collinear triple."""
-        members = tuple(sorted(set(points)))
-        bad = plane.collinear_triple(members)
-        if bad is not None:
-            raise ValueError(f"not an arc: points {bad} are collinear")
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        cov = coverage_counts(plane, members)
-        return cls(plane, members, mask, tuple(cov), candidate_mask(plane, members))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def candidates(self) -> list[int]:
-        return list(iter_bits(self.candidates_mask))
-
-    def is_complete(self) -> bool:
-        """True iff every non-member point lies on some secant."""
-        return self.candidates_mask == 0
-
-    def add_point(self, p: int) -> "Arc":
-        """Extend by a candidate point; each line from p to a member becomes
-        a fresh secant and bumps coverage along its whole point row."""
-        if not (self.candidates_mask >> p) & 1:
-            raise NotACandidateError(
-                f"point {p} is a member or lies on a secant of {self.members}"
-            )
-        plane = self.plane
-        n = plane.size
-        lt = plane.line_through_flat
-        lm = plane.line_masks
-        cov = list(self.coverage)
-        cand = self.candidates_mask & ~(1 << p)
-        for m in self.members:
-            li = lt[m * n + p]
-            cand &= ~lm[li]
-            for x in plane.points_on_line[li]:
-                cov[x] += 1
-        members = tuple(sorted((*self.members, p)))
-        return Arc(plane, members, self.members_mask | (1 << p), tuple(cov), cand)
-
-    def __repr__(self):
-        return f"Arc(q={self.plane.q}, members={self.members})"
+    return plane.all_points_mask & ~plane.secant_mask(members) & ~mem_mask

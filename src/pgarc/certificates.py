@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import combinations, product
+from itertools import product
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
 from .gf import FieldError, build_field
@@ -114,11 +114,11 @@ def serialize_certificate(cert: ArcCertificate) -> str:
 def make_certificate(plane: Plane, group: str, point_ids, meta: dict | None = None) -> ArcCertificate:
     """Certificate for a point set with claims filled in by recomputation."""
     ids = sorted(set(point_ids))
-    collinear, complete, stab = _recompute(plane, group, ids)
+    collinear, uncovered, stab = _recompute(plane, group, ids)
     params = plane.field.params
     claims = {
         "is_arc": collinear is None,
-        "is_complete": complete,
+        "is_complete": uncovered == 0,
         "stabilizer_order": stab.order if stab else 0,
         "stabilizer_name": stab.name if stab else "unknown",
     }
@@ -133,28 +133,19 @@ def make_certificate(plane: Plane, group: str, point_ids, meta: dict | None = No
     )
 
 
-def _secant_cover_mask(plane: Plane, ids) -> int:
-    n = plane.size
-    lt = plane.line_through_flat
-    lm = plane.line_masks
-    u = 0
-    for a, b in combinations(ids, 2):
-        u |= lm[lt[a * n + b]]
-    return u
-
-
 def _recompute(plane: Plane, group: str, ids):
-    """(collinear triple or None, completeness, structure or None)."""
+    """(collinear triple or None, mask of the non-members on no secant,
+    structure or None).  The set is complete iff the mask is 0."""
     bad = plane.collinear_triple(ids)
     members = 0
     for i in ids:
         members |= 1 << i
-    uncovered = plane.all_points_mask & ~_secant_cover_mask(plane, ids) & ~members
+    uncovered = plane.all_points_mask & ~plane.secant_mask(ids) & ~members
     try:
         _, structure = stabilizer(plane, ids, group)
     except DegenerateSetError:
         structure = None
-    return bad, uncovered == 0, structure
+    return bad, uncovered, structure
 
 
 def verify(cert: ArcCertificate) -> VerifyReport:
@@ -174,7 +165,8 @@ def verify(cert: ArcCertificate) -> VerifyReport:
     if len(set(ids)) != len(ids):
         raise MalformedCertificateError("points are not distinct after normalization")
 
-    bad, complete, structure = _recompute(plane, cert.group, ids)
+    bad, uncovered, structure = _recompute(plane, cert.group, ids)
+    complete = uncovered == 0
     failures = []
     # degenerate sets (no general-position quadruple) have no stabilizer
     # to compute; the 0/"unknown" encoding matches make_certificate
@@ -196,11 +188,7 @@ def verify(cert: ArcCertificate) -> VerifyReport:
     if complete != cert.claims["is_complete"]:
         witness = None
         if not complete:
-            members = 0
-            for i in ids:
-                members |= 1 << i
-            unc = plane.all_points_mask & ~_secant_cover_mask(plane, ids) & ~members
-            first = (unc & -unc).bit_length() - 1
+            first = (uncovered & -uncovered).bit_length() - 1
             witness = list(plane.points[first])
         failures.append(
             {
@@ -266,7 +254,8 @@ def _sweep_case(plane: Plane, exponents, want_order: int, want_name: str) -> dic
     triples = points_from_exponents(plane.field, exponents)
     ids = sorted(plane.point_id(t) for t in triples)
     result: dict = {"distinct": len(set(ids)) == len(triples)}
-    bad, complete, structure = _recompute(plane, PGAMMAL, ids)
+    bad, uncovered, structure = _recompute(plane, PGAMMAL, ids)
+    complete = uncovered == 0
     result["is_arc"] = bad is None
     if bad is not None:
         result["collinear_triple"] = [list(plane.points[i]) for i in bad]
@@ -318,8 +307,3 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> ArcCertificate:
     return parse_certificate(fixture_text(name))
-
-
-def fixture_names() -> list[str]:
-    folder = resources.files("pgarc") / "fixtures"
-    return sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))

@@ -49,18 +49,12 @@ def _add_run_flags(sub, threshold_default: int):
                      help=f"level checkpoint directory (default ${CHECKPOINT_ENV})")
 
 
-def _make_config(args, bound: int | None = None) -> SearchConfig:
-    if args.proportions is not None:
-        if sum(args.proportions) != 100 or any(p <= 0 for p in args.proportions):
-            raise _UsageError("proportions must be positive and sum to 100")
-        if len(args.proportions) != args.workers:
-            raise _UsageError("need exactly one proportion per worker")
+def _make_config(args) -> SearchConfig:
     try:
         return SearchConfig(
             q=args.q,
             group=args.group,
             classification_threshold=args.threshold,
-            target_bound=max(bound if bound is not None else 13, args.threshold),
             worker_count=args.workers,
             proportions=args.proportions,
             stealing=args.stealing,
@@ -102,7 +96,7 @@ def _certificate_for(plane, group, rep, result) -> str:
 
 
 def _cmd_find_min(args) -> int:
-    config = _make_config(args, bound=args.bound)
+    config = _make_config(args)
     plane = search.default_plane(args.q)
     result = search.min_complete_size(config, plane)
     print(f"t(2,{args.q}) = {result.size}")
@@ -176,8 +170,6 @@ def main(argv=None) -> int:
     # exhaustive and far cheaper than deep classification at small q
     p_find = sub.add_parser("find-min", help="smallest complete arc size and witness")
     _add_run_flags(p_find, threshold_default=4)
-    p_find.add_argument("--bound", type=int, default=None,
-                        help="search cap on the complete arc size")
     p_find.add_argument("--certificate-out", default=None)
     p_find.set_defaults(fn=_cmd_find_min)
 
@@ -202,7 +194,7 @@ def main(argv=None) -> int:
     except (certificates.MalformedCertificateError, certificates.FieldMismatchError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (CapacityExceededError, MemoryBudgetExceededError) as exc:
+    except (CapacityExceededError, FieldError, MemoryBudgetExceededError) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -2,10 +2,11 @@
 
 Elements are integer codes in [0, q): the polynomial c0 + c1*x + ... is
 encoded as c0 + c1*p + c2*p^2 + ...  Code 0 is the additive zero and
-code 1 the multiplicative unit.  Multiplication, inversion and the
-Frobenius maps go through discrete exp/log tables for a primitive root
-of the modulus; addition is digitwise mod p on the codes.  Prime fields
-(h = 1) skip the table indirection and use plain modular integers.
+code 1 the multiplicative unit.  Inversion, powers and the Frobenius maps
+go through discrete exp/log tables for a primitive root of the modulus;
+addition (digitwise mod p on the codes) and multiplication are looked up
+in q x q flat tables, which the geometry and search layers index
+directly.
 
 The integer encoding gives every field a total order (plain integer
 order on codes), which downstream code relies on for reproducible
@@ -17,13 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-# Hard cap on the field order; beyond this the table-based design stops
-# making sense and construction refuses.
-MAX_ORDER = 1 << 16
-
-# Below this order the q x q flat add/mul tables are precomputed, which
-# the geometry and search layers index directly.
-DENSE_TABLE_LIMIT = 256
+# Hard cap on the field order: the flat tables hold q^2 entries each, and
+# the plane layer stops far below this.
+MAX_ORDER = 256
 
 
 class FieldError(ValueError):
@@ -159,9 +156,6 @@ class FieldParams:
     modulus: tuple[int, ...]
     q: int
 
-    def as_dict(self) -> dict:
-        return {"p": self.p, "h": self.ext_degree, "modulus": list(self.modulus)}
-
 
 class FieldTable:
     """Arithmetic tables for one field GF(q). Immutable after construction;
@@ -191,32 +185,26 @@ class FieldTable:
             for a in range(1, q):
                 tab[a] = exp[(log[a] * e) % (q - 1)]
             self.frob_tables.append(tab)
-        if q <= DENSE_TABLE_LIMIT:
-            self.add_flat = [
-                _add_codes(a, b, self.p) for a in range(q) for b in range(q)
-            ]
-            self.mul_flat = [self.mul(a, b) for a in range(q) for b in range(q)]
-        else:
-            self.add_flat = None
-            self.mul_flat = None
+        self.add_flat = [
+            _add_codes(a, b, self.p) for a in range(q) for b in range(q)
+        ]
+        self.mul_flat = [
+            exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
+            for a in range(q)
+            for b in range(q)
+        ]
 
     def add(self, a: int, b: int) -> int:
-        if self.h == 1:
-            return (a + b) % self.p
-        return _add_codes(a, b, self.p)
+        return self.add_flat[a * self.q + b]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg_list[b])
+        return self.add_flat[a * self.q + self.neg_list[b]]
 
     def neg(self, a: int) -> int:
         return self.neg_list[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.h == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.mul_flat[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -17,7 +17,7 @@ DENSE_LIMIT = 64
 
 
 class CapacityExceededError(ValueError):
-    """Plane order above the configured limit."""
+    """Plane order above DENSE_LIMIT."""
 
 
 class SamePointError(ValueError):
@@ -132,6 +132,20 @@ class Plane:
                         return (a, pts[j], pts[k])
         return None
 
+    def secant_mask(self, ids) -> int:
+        """Bitmask of the points on some line through 2 of the pairwise
+        distinct points ids."""
+        n = self.size
+        lt = self.line_through_flat
+        lm = self.line_masks
+        pts = list(ids)
+        u = 0
+        for i, a in enumerate(pts):
+            base = a * n
+            for b in pts[i + 1 :]:
+                u |= lm[lt[base + b]]
+        return u
+
     def cross(self, t1, t2) -> tuple[int, int, int]:
         """Normalized cross product of two independent triples: the line
         through two points, or the meet of two lines."""
@@ -147,10 +161,10 @@ class Plane:
         return f"Plane(q={self.q}, points={self.size})"
 
 
-def build_plane(field: FieldTable, max_q: int = DENSE_LIMIT) -> Plane:
+def build_plane(field: FieldTable) -> Plane:
     """Build all tables for PG(2,q) over the given field."""
-    if field.q > max_q:
+    if field.q > DENSE_LIMIT:
         raise CapacityExceededError(
-            f"plane order {field.q} exceeds the configured limit {max_q}"
+            f"plane order {field.q} exceeds the limit {DENSE_LIMIT}"
         )
     return Plane(field)

@@ -35,12 +35,19 @@ class Partition:
         return self.ranges[-1][1] if self.ranges else 0
 
 
-def partition(job_count: int, proportions) -> Partition:
+def check_proportions(proportions) -> tuple[int, ...]:
+    """The proportions as ints; BadProportionsError unless they are
+    positive and sum to 100."""
     props = tuple(int(p) for p in proportions)
     if not props or any(p <= 0 for p in props) or sum(props) != 100:
         raise BadProportionsError(
             f"proportions must be positive and sum to 100, got {list(proportions)}"
         )
+    return props
+
+
+def partition(job_count: int, proportions) -> Partition:
+    props = check_proportions(proportions)
     if job_count < 0:
         raise ValueError("job_count must be >= 0")
     sizes = [job_count * p // 100 for p in props]

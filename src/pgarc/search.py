@@ -45,7 +45,6 @@ class SearchConfig:
     q: int
     group: str = PGL
     classification_threshold: int = 8
-    target_bound: int = 13
     worker_count: int = 1
     proportions: tuple[int, ...] | None = None
     stealing: bool = False
@@ -55,14 +54,13 @@ class SearchConfig:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ValueError(f"group must be one of {GROUPS}")
-        if not 4 <= self.classification_threshold <= self.target_bound:
+        if self.classification_threshold < 4:
             raise ValueError(
-                "need 4 <= classification_threshold <= target_bound, got "
-                f"{self.classification_threshold} / {self.target_bound}"
+                f"need classification_threshold >= 4, got {self.classification_threshold}"
             )
         factor_prime_power(self.q)  # raises for non prime powers
         if self.proportions is not None:
-            self.proportions = tuple(int(p) for p in self.proportions)
+            self.proportions = scheduler.check_proportions(self.proportions)
             if len(self.proportions) != self.worker_count:
                 raise ValueError("need one proportion per worker")
 
@@ -239,7 +237,6 @@ def extend(
     n = plane.size
     lt = plane.line_through_flat
     lm = plane.line_masks
-    all_mask = plane.all_points_mask
 
     cand0 = candidate_mask(plane, root)
     if cand0 == 0:
@@ -252,13 +249,12 @@ def extend(
     prune = level_map is not None and rep_index is not None and len(level_map) > 1
 
     # the root's secant block against each candidate never changes along a
-    # descent, so fold those size0 mask updates into one precomputed AND
-    root_block = {}
-    for x in iter_bits(cand0):
-        u = 0
-        for m in root:
-            u |= lm[lt[m * n + x]]
-        root_block[x] = all_mask & ~u
+    # descent, so fold those size0 mask updates into one precomputed AND;
+    # the secants among root points are already outside cand0
+    all_mask = plane.all_points_mask
+    root_block = {
+        x: all_mask & ~plane.secant_mask((*root, x)) for x in iter_bits(cand0)
+    }
 
     added: list[int] = []
 

@@ -59,6 +59,16 @@ def det_collinear(plane, i: int, j: int, k: int) -> bool:
     return det3(plane.field, pts[i], pts[j], pts[k]) == 0
 
 
+def recount_coverage(plane, members) -> list[int]:
+    """Secants (lines through 2 members) through each point, via determinants."""
+    cov = [0] * plane.size
+    for a, b in combinations(sorted(members), 2):
+        for x in range(plane.size):
+            if x in (a, b) or det_collinear(plane, a, b, x):
+                cov[x] += 1
+    return cov
+
+
 def pair_line_masks(plane) -> list[int]:
     """mask[a * n + b] = points collinear with both a and b (incl. a, b),
     derived purely from determinants."""

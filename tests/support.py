@@ -22,23 +22,13 @@ get_plane = default_plane
 
 @functools.lru_cache(maxsize=None)
 def classification(q: int, group: str, threshold: int):
-    cfg = SearchConfig(
-        q=q,
-        group=group,
-        classification_threshold=threshold,
-        target_bound=max(threshold, 13),
-    )
+    cfg = SearchConfig(q=q, group=group, classification_threshold=threshold)
     return tuple(classify(cfg, get_plane(q)))
 
 
 @functools.lru_cache(maxsize=None)
 def find_min(q: int, group: str, threshold: int = 4):
-    cfg = SearchConfig(
-        q=q,
-        group=group,
-        classification_threshold=threshold,
-        target_bound=max(threshold, 13),
-    )
+    cfg = SearchConfig(q=q, group=group, classification_threshold=threshold)
     return min_complete_size(cfg, get_plane(q))
 
 

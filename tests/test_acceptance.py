@@ -213,7 +213,6 @@ def test_criterion_7_invariant_suites(report):
             q=11,
             group=PGL,
             classification_threshold=5,
-            target_bound=13,
             worker_count=workers,
             proportions=props,
         )

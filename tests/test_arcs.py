@@ -1,60 +1,19 @@
-"""Arc membership, coverage and candidate maintenance."""
+"""Extension candidates of an arc as a bitmask (``candidate_mask``)."""
 
 import random
 from itertools import combinations
 
-import pytest
-
-from pgarc.arcs import Arc, NotACandidateError, candidate_mask, iter_bits
+from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import standard_frame
-from oracles import brute_force_is_complete, det_collinear, random_arc
+from oracles import brute_force_is_complete, random_arc, recount_coverage
 from support import get_plane
-
-
-def recount_coverage(plane, members):
-    """From-scratch oracle: secants through each point, via determinants."""
-    cov = [0] * plane.size
-    mem = sorted(members)
-    for a, b in combinations(mem, 2):
-        ta, tb = plane.points[a], plane.points[b]
-        for x in range(plane.size):
-            if x in (a, b) or det_collinear(plane, a, b, x):
-                cov[x] += 1
-    return cov
 
 
 def test_frame_is_an_arc():
     pl = get_plane(31)
     frame = standard_frame(pl)
-    arc = Arc.from_points(pl, frame)
-    assert arc.size == 4
-    assert not arc.is_complete()
-
-
-def test_add_fourth_frame_point():
-    pl = get_plane(7)
-    a, b, c, d = standard_frame(pl)
-    arc = Arc.from_points(pl, (a, b, c))
-    arc4 = arc.add_point(d)
-    assert arc4.members == tuple(sorted((a, b, c, d)))
-
-
-def test_add_point_on_secant_rejected():
-    pl = get_plane(7)
-    frame = standard_frame(pl)
-    arc = Arc.from_points(pl, frame)
-    li = pl.line_through(frame[0], frame[1])
-    on_secant = next(p for p in pl.points_on_line[li] if p not in frame)
-    with pytest.raises(NotACandidateError):
-        arc.add_point(on_secant)
-    with pytest.raises(NotACandidateError):
-        arc.add_point(frame[0])
-
-
-def test_from_points_rejects_collinear():
-    pl = get_plane(5)
-    with pytest.raises(ValueError, match="collinear"):
-        Arc.from_points(pl, pl.points_on_line[0][:3])
+    assert pl.collinear_triple(frame) is None
+    assert candidate_mask(pl, frame) != 0
 
 
 def test_every_4_arc_in_fano_plane_is_complete():
@@ -63,45 +22,30 @@ def test_every_4_arc_in_fano_plane_is_complete():
     for quad in combinations(range(7), 4):
         if pl.collinear_triple(quad) is None:
             n_arcs += 1
-            assert Arc.from_points(pl, quad).is_complete()
+            assert candidate_mask(pl, quad) == 0
     assert n_arcs == 7
 
 
 def test_incremental_coverage_matches_recount_q7():
-    """200 random growth paths; coverage and candidates recomputed from
-    scratch after every addition."""
+    """200 random growth paths; after every addition the candidates are
+    exactly the non-members that no secant covers, recounted from scratch."""
     pl = get_plane(7)
     rng = random.Random(777)
     for _ in range(200):
         target = random_arc(pl, rng, max_size=rng.randint(4, 8))
-        arc = Arc.empty(pl)
+        members = []
+        cand = pl.all_points_mask
         order = sorted(target, key=lambda _: rng.random())
         for p in order:
-            if not (arc.candidates_mask >> p) & 1:
+            if not (cand >> p) & 1:
                 continue
-            arc = arc.add_point(p)
-            assert list(arc.coverage) == recount_coverage(pl, arc.members)
+            members.append(p)
+            cand = candidate_mask(pl, members)
+            cov = recount_coverage(pl, members)
             want_candidates = {
-                x
-                for x in range(pl.size)
-                if x not in arc.members and arc.coverage[x] == 0
+                x for x in range(pl.size) if x not in members and cov[x] == 0
             }
-            assert set(iter_bits(arc.candidates_mask)) == want_candidates
-
-
-def test_coverage_monotone_along_descent():
-    pl = get_plane(7)
-    rng = random.Random(70)
-    for _ in range(20):
-        path = random_arc(pl, rng, max_size=8)
-        arc = Arc.empty(pl)
-        prev = arc.coverage
-        for p in sorted(path):
-            if not (arc.candidates_mask >> p) & 1:
-                continue
-            arc = arc.add_point(p)
-            assert all(a >= b for a, b in zip(arc.coverage, prev))
-            prev = arc.coverage
+            assert set(iter_bits(cand)) == want_candidates
 
 
 def test_is_complete_against_brute_force_spot():
@@ -110,8 +54,8 @@ def test_is_complete_against_brute_force_spot():
         rng = random.Random(q)
         for _ in range(25):
             members = random_arc(pl, rng, max_size=rng.randint(3, q + 2))
-            arc = Arc.from_points(pl, members)
-            assert arc.is_complete() == brute_force_is_complete(pl, members)
+            complete = candidate_mask(pl, members) == 0
+            assert complete == brute_force_is_complete(pl, members)
 
 
 def test_candidate_mask_of_greedy_maximal_arc_is_empty():

@@ -294,3 +294,16 @@ def test_cli_proportions_usage_errors():
         "--workers", "2", "--proportions", "150,-50",
     )
     assert proc.returncode == 2
+
+
+def test_cli_find_min_rejects_bound_flag():
+    """find-min always searches up to q + 2; it has no size cap option."""
+    proc = run_cli("find-min", "--q", "5", "--bound", "9")
+    assert proc.returncode == 2
+    assert "--bound" in proc.stderr
+
+
+def test_cli_field_order_over_cap_is_budget_error():
+    proc = run_cli("classify", "--q", "257", "--threshold", "4")
+    assert proc.returncode == 3
+    assert "exceeds supported maximum 256" in proc.stderr

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgarc.gf import (
+    MAX_ORDER,
     DegreeMismatchError,
+    FieldError,
     NotIrreducibleError,
     NotPrimeError,
     NotPrimitiveError,
@@ -195,3 +197,22 @@ def test_factor_prime_power():
         factor_prime_power(12)
     with pytest.raises(ValueError):
         factor_prime_power(1)
+
+
+def test_field_order_cap():
+    assert MAX_ORDER == 256
+    f = build_field(2, 8)
+    assert f.q == 256 and len(f.mul_flat) == 256 * 256
+    assert f.mul(f.exp[200], f.exp[100]) == f.exp[300 % 255]
+    for p, h in [(257, 1), (2, 9), (3, 6)]:
+        with pytest.raises(FieldError, match="exceeds supported maximum"):
+            build_field(p, h)
+
+
+def test_prime_field_tables_are_modular_integers():
+    f = get_field(31)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.add(a, b) == (a + b) % 31
+            assert f.sub(a, b) == (a - b) % 31
+            assert f.mul(a, b) == a * b % 31

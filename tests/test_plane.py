@@ -10,7 +10,7 @@ from pgarc.plane import (
     SamePointError,
     build_plane,
 )
-from oracles import det3
+from oracles import det3, random_arc, recount_coverage
 from support import get_field, get_plane
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -170,3 +170,26 @@ def test_cross_product_gives_joining_line():
             i, j = rng.sample(range(pl.size), 2)
             li = pl.line_through(i, j)
             assert pl.lines[li] == pl.cross(pl.points[i], pl.points[j])
+
+
+def _secant_oracle(pl, ids):
+    """Points on a line through 2 of ids, via determinants."""
+    return sum(1 << x for x, c in enumerate(recount_coverage(pl, ids)) if c)
+
+
+@pytest.mark.parametrize("q", [2, 5, 8, 9])
+def test_secant_mask_matches_determinant(q):
+    """On arcs and on sets with collinear triples, which the verifier
+    also passes in."""
+    import random
+
+    pl = get_plane(q)
+    rng = random.Random(50 + q)
+    for _ in range(20):
+        arc = random_arc(pl, rng, max_size=rng.randint(1, q + 2))
+        assert pl.secant_mask(arc) == _secant_oracle(pl, arc)
+        line = pl.points_on_line[rng.randrange(pl.size)]
+        extra = rng.sample(range(pl.size), rng.randint(0, 3))
+        ids = sorted(set(rng.sample(line, 3)) | set(extra))
+        assert pl.collinear_triple(ids) is not None
+        assert pl.secant_mask(ids) == _secant_oracle(pl, ids)

@@ -51,8 +51,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(q=7, classification_threshold=3)
     with pytest.raises(ValueError):
-        SearchConfig(q=7, classification_threshold=9, target_bound=8)
-    with pytest.raises(ValueError):
         SearchConfig(q=7, worker_count=2, proportions=(100,))
 
 
