@@ -252,8 +252,9 @@ def points_from_exponents(field, exponents) -> list[tuple[int, int, int]]:
 
 def _sweep_case(plane: Plane, exponents, want_order: int, want_name: str) -> dict:
     triples = points_from_exponents(plane.field, exponents)
-    ids = sorted(plane.point_id(t) for t in triples)
-    result: dict = {"distinct": len(set(ids)) == len(triples)}
+    ids = sorted({plane.point_id(t) for t in triples})
+    # a repeat fails the case through "distinct"; claims use the distinct points
+    result: dict = {"distinct": len(ids) == len(triples)}
     bad, uncovered, structure = _recompute(plane, PGAMMAL, ids)
     complete = uncovered == 0
     result["is_arc"] = bad is None

@@ -12,12 +12,15 @@ standard frame are exactly the frame maps of its ordered 4-subsets, times
 Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
-Both, and the early-exit test is_canonical, run on one kernel,
-_frame_sweep.  For each unordered non-collinear triple T it evaluates
-the three sides of T at every point of the set once; the 6 orderings of
-T only permute those values, and the frame map of (T, D) divides them
-by their values at D.  In discrete logarithms that is two subtractions
-and two table lookups per image point, with no matrix and no normalization.
+frame_images lists those images of an arc, canonicalize takes the least
+of them, is_canonical stops at the first one below the arc, and
+stabilizer keeps the maps onto the set itself.  All four run on one
+kernel, _frame_sweep.  For each unordered non-collinear triple T it
+evaluates the three sides of T at every point of the set once; the 6
+orderings of T only permute those values, and the frame map of (T, D)
+divides them by their values at D.  In discrete logarithms that is two
+subtractions and two table lookups per image point, with no matrix and
+no normalization.
 """
 
 from __future__ import annotations
@@ -90,16 +93,6 @@ def _normalize_matrix(field, m):
     raise SingularMatrixError("zero matrix")
 
 
-def _det3(field, m):
-    mul = field.mul
-    sub = field.sub
-    a, b, c, d, e, f, g, h, i = m
-    return field.add(
-        sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
-        mul(c, sub(mul(d, h), mul(e, g))),
-    )
-
-
 def _adjugate(field, m):
     """Adjugate of a 3x3 matrix; projectively this is the inverse."""
     mul = field.mul
@@ -137,19 +130,6 @@ def _frob_matrix(field, m, i):
         return tuple(m)
     ft = field.frob_tables[i]
     return tuple(ft[e] for e in m)
-
-
-def collineation(field, matrix, frob: int = 0) -> Collineation:
-    """Validated constructor: matrix (rows or flat 9) must be invertible,
-    frob must lie in [0, h)."""
-    flat = tuple(matrix[r][c] for r in range(3) for c in range(3)) if len(matrix) == 3 else tuple(matrix)
-    if len(flat) != 9:
-        raise ValueError("matrix must be 3x3")
-    if _det3(field, flat) == 0:
-        raise SingularMatrixError(f"matrix {flat} is singular")
-    if not 0 <= frob < field.h:
-        raise ValueError(f"frobenius exponent {frob} outside [0, {field.h})")
-    return Collineation(_normalize_matrix(field, flat), frob)
 
 
 def compose(field, g1: Collineation, g2: Collineation) -> Collineation:
@@ -234,37 +214,6 @@ def frame_map(plane: Plane, quad) -> Collineation:
     return Collineation(_normalize_matrix(field, rows), 0)
 
 
-def _complete_to_frame(plane: Plane, pts):
-    """Deterministically extend <= 3 points in general position to an
-    ordered frame, scanning candidate points in index order."""
-    chosen = list(pts)
-    for cand in range(plane.size):
-        if len(chosen) == 4:
-            break
-        if cand in chosen:
-            continue
-        ok = True
-        for i, j in combinations(range(len(chosen)), 2):
-            if plane.collinear(chosen[i], chosen[j], cand):
-                ok = False
-                break
-        if ok:
-            chosen.append(cand)
-    return chosen
-
-
-def _small_canonical(plane: Plane, pts) -> PointSetCanonicalForm:
-    """Sizes 1..3: the group is transitive on points, point pairs and
-    triangles, so fixed prefixes of the standard frame serve as
-    conventional representatives."""
-    n = len(pts)
-    if n == 3 and plane.collinear_triple(pts) is not None:
-        raise DegenerateSetError("3 collinear points have no arc-style canonical form")
-    quad = _complete_to_frame(plane, pts)
-    g = frame_map(plane, quad)
-    return PointSetCanonicalForm(standard_frame(plane)[:n], g)
-
-
 def _frame_sweep(plane: Plane, pts, group: str):
     """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates.
 
@@ -322,33 +271,64 @@ def _side_point_image(plane: Plane, logs, d1: int, d2: int) -> int:
     return plane.point_id(tuple(y))
 
 
-def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalForm:
-    """Least image of an arc under the configured group.
-
-    Maps every ordered 4-subset onto the standard frame, for every
-    Frobenius power, and keeps the lexicographically least sorted image.
-    For arcs this equals the least image over the whole group: any image
-    is an arc, and an arc whose sorted indices are minimal must contain
-    the standard frame (greedy argument on the point ordering).  Sets with
-    a collinear triple are rejected with DegenerateSetError.
-    """
+def _arc_points(plane: Plane, points, group: str) -> list[int]:
+    """Sorted distinct points of an arc of at least 4 points, else a clear error."""
     _check_group(group)
     pts = sorted(set(points))
     if not pts:
         raise EmptySetError("cannot canonicalize the empty set")
     if len(pts) < 4:
-        return _small_canonical(plane, pts)
+        raise DegenerateSetError(
+            f"{len(pts)} points hold no frame: canonical forms need an arc of at least 4 points"
+        )
     bad = plane.collinear_triple(pts)
     if bad is not None:
         raise DegenerateSetError(f"not an arc: points {bad} are collinear")
+    return pts
 
+
+def _sweep_images(plane: Plane, pts, group: str):
+    """Per ordered triangle of _frame_sweep, (f, corners, ids, images):
+    images[i] is the sorted image, past the triangle, under the frame map
+    whose fourth point is ids[i].  The triangle lands on the first three
+    frame points; D and every other point of an arc land on (1, a, b) with
+    a, b != 0, at indices >= D's 2q + 2."""
     row, exp = plane.affine_row, plane.field.exp
-    # V2, V1, V0 land on the first three frame points; D and every other
-    # point land on (1, a, b) with a, b != 0, at indices >= D's 2q + 2
-    best = [plane.size]
     for f, corners, ids, r1, r2, _ in _frame_sweep(plane, pts, group):
         pairs = list(zip(r1, r2))
-        images = [sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) for d1, d2 in pairs]
+        yield f, corners, ids, [sorted([row[a - d1] + exp[b - d2] for a, b in pairs])
+                                for d1, d2 in pairs]
+
+
+def frame_images(plane: Plane, arc, group: str = PGL):
+    """Every sorted image of an arc that contains the standard frame.
+
+    An image g(A) holds the frame exactly when g carries some ordered
+    4-subset of A onto it, and PGL(3,q) is sharply transitive on ordered
+    frames: so these are the frame maps of A's ordered 4-subsets, for
+    every Frobenius power, one image per (f, ordered 4-subset), repeats
+    included.  The least of them is canonicalize(A).canon.  The arc is
+    checked before the first image is made.
+    """
+    pts = _arc_points(plane, arc, group)
+    head = standard_frame(plane)[:3]
+    return (head + tuple(rest)
+            for _, _, _, images in _sweep_images(plane, pts, group) for rest in images)
+
+
+def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalForm:
+    """Least image of an arc under the configured group: the least of its
+    frame_images, with the frame map that makes it as witness.
+
+    That is the least image over the whole group: any image is an arc,
+    and an arc whose sorted indices are minimal must contain the standard
+    frame (greedy argument on the point ordering).  The empty set raises
+    EmptySetError; fewer than 4 points, or a collinear triple,
+    DegenerateSetError.
+    """
+    pts = _arc_points(plane, points, group)
+    best = [plane.size]  # above every index, so the first image wins
+    for f, corners, ids, images in _sweep_images(plane, pts, group):
         least = min(images)
         if least < best:
             best = least

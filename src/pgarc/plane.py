@@ -25,7 +25,16 @@ class SamePointError(ValueError):
 
 
 class DuplicatePointsError(ValueError):
-    """Collinearity test needs pairwise distinct points."""
+    """Collinearity tests and secant masks need pairwise distinct points."""
+
+
+def _sorted_distinct(ids) -> list[int]:
+    """The ids sorted; a repeat, found as two equal neighbours, raises."""
+    pts = sorted(ids)
+    for a, b in zip(pts, pts[1:]):
+        if a == b:
+            raise DuplicatePointsError(f"point {a} is repeated in {pts}")
+    return pts
 
 
 class Plane:
@@ -118,8 +127,9 @@ class Plane:
         return (self.line_masks[li] >> p3) & 1 == 1
 
     def collinear_triple(self, point_ids) -> tuple[int, int, int] | None:
-        """First collinear triple (in sorted index order) of a point set, or None."""
-        pts = sorted(point_ids)
+        """First collinear triple (in sorted index order) of a set of
+        pairwise distinct points, or None."""
+        pts = _sorted_distinct(point_ids)
         n = self.size
         lt = self.line_through_flat
         masks = self.line_masks
@@ -133,29 +143,18 @@ class Plane:
         return None
 
     def secant_mask(self, ids) -> int:
-        """Bitmask of the points on some line through 2 of the pairwise
-        distinct points ids."""
+        """Bitmask of the points on some line through 2 of the points ids,
+        which must be pairwise distinct."""
         n = self.size
         lt = self.line_through_flat
         lm = self.line_masks
-        pts = list(ids)
+        pts = _sorted_distinct(ids)
         u = 0
         for i, a in enumerate(pts):
             base = a * n
             for b in pts[i + 1 :]:
                 u |= lm[lt[base + b]]
         return u
-
-    def cross(self, t1, t2) -> tuple[int, int, int]:
-        """Normalized cross product of two independent triples: the line
-        through two points, or the meet of two lines."""
-        f = self.field
-        a0, a1, a2 = t1
-        b0, b1, b2 = t2
-        c0 = f.sub(f.mul(a1, b2), f.mul(a2, b1))
-        c1 = f.sub(f.mul(a2, b0), f.mul(a0, b2))
-        c2 = f.sub(f.mul(a0, b1), f.mul(a1, b0))
-        return self.normalize((c0, c1, c2))
 
     def __repr__(self):
         return f"Plane(q={self.q}, points={self.size})"

@@ -15,6 +15,12 @@ extension level assigns each child to the representative owning the
 least class index among the child's threshold-size sub-arcs; a complete
 arc is then still found under the minimal class it contains, so the
 union over all branches remains exhaustive.
+
+The smallest complete arcs found are sorted into classes by orbit
+peeling, isomorph rejection via recorded objects (Kaski and Ostergard
+2006, ch. 4): each contains its root and so the standard frame, one
+frame_images sweep of an arc holds its whole class among them, and the
+least image is the class's canonical form.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from pathlib import Path
 
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
-from .collineation import GROUPS, PGL, canonicalize, is_canonical, standard_frame
+from .collineation import GROUPS, PGL, canonicalize, frame_images, is_canonical, standard_frame
 from .gf import build_field, factor_prime_power
 from .plane import Plane, build_plane
 
@@ -316,13 +322,26 @@ def _run_extension(config: SearchConfig, plane: Plane, reps, bound: int, level_m
     return merged
 
 
+def _peel_orbits(plane: Plane, group: str, arcs) -> list[tuple[int, ...]]:
+    """Sorted canonical forms of the classes of arcs that each contain the
+    standard frame, with one frame sweep per class (module docstring)."""
+    seen: set = set()
+    classes = []
+    for arc in sorted(arcs):
+        if arc not in seen:
+            images = set(frame_images(plane, arc, group))
+            classes.append(min(images))
+            seen |= images
+    return sorted(classes)
+
+
 def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCompleteResult:
     """Smallest n admitting a complete n-arc, with its exact class census.
 
     Classification levels are scanned first (a complete arc of size at
     most the threshold is itself a representative); beyond the threshold
     the bound grows from the arithmetic lower bound until the extension
-    sweep reports something.
+    sweep reports something; _peel_orbits sorts the smallest into classes.
     """
     plane = plane if plane is not None else default_plane(config.q)
     levels = classify(config, plane)
@@ -338,9 +357,7 @@ def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCo
         found = _run_extension(config, plane, top.representatives, bound, level_map)
         if found:
             t = min(len(a) for a in found)
-            classes = sorted(
-                {canonicalize(plane, a, config.group).canon for a in found if len(a) == t}
-            )
+            classes = _peel_orbits(plane, config.group, [a for a in found if len(a) == t])
             return MinCompleteResult(config.q, config.group, t, len(classes), classes)
         bound += 1
     raise RuntimeError(f"no complete arc found up to size {config.q + 2}")  # unreachable

@@ -12,7 +12,11 @@ frame matrix per quadruple, are the slow reference for the log-domain
 frame sweep of pgarc.collineation.  Classification by canonicalizing
 every child of every representative and deduplicating in a set is the
 slow reference for the orderly (canonical-parent) classification of
-pgarc.search.
+pgarc.search, and canonicalizing every smallest complete arc the
+extension reports is the slow reference for its orbit peeling.  The
+validated collineation constructor, the cross product and the
+conventional canonical forms of 1 to 3 points serve only the tests, so
+they live here too.
 """
 
 from __future__ import annotations
@@ -28,18 +32,20 @@ from pgarc.collineation import (
     DegenerateSetError,
     EmptySetError,
     PointSetCanonicalForm,
+    SingularMatrixError,
     _adjugate,
     _check_group,
     _matmul,
     _normalize_matrix,
-    _small_canonical,
     apply_matrix,
     canonicalize,
     classify_structure,
     compose,
     element_order,
+    frame_map,
     standard_frame,
 )
+from pgarc.search import SearchConfig, _run_extension, classify, lower_bound
 
 
 def det3(field, t1, t2, t3) -> int:
@@ -57,6 +63,31 @@ def det3(field, t1, t2, t3) -> int:
 def det_collinear(plane, i: int, j: int, k: int) -> bool:
     pts = plane.points
     return det3(plane.field, pts[i], pts[j], pts[k]) == 0
+
+
+def cross(plane, t1, t2) -> tuple[int, int, int]:
+    """Normalized cross product of two independent triples: the line
+    through two points, or the meet of two lines."""
+    f = plane.field
+    a0, a1, a2 = t1
+    b0, b1, b2 = t2
+    c0 = f.sub(f.mul(a1, b2), f.mul(a2, b1))
+    c1 = f.sub(f.mul(a2, b0), f.mul(a0, b2))
+    c2 = f.sub(f.mul(a0, b1), f.mul(a1, b0))
+    return plane.normalize((c0, c1, c2))
+
+
+def collineation(field, matrix, frob: int = 0) -> Collineation:
+    """Validated constructor: matrix (rows or flat 9) must be invertible,
+    frob must lie in [0, h)."""
+    flat = tuple(matrix[r][c] for r in range(3) for c in range(3)) if len(matrix) == 3 else tuple(matrix)
+    if len(flat) != 9:
+        raise ValueError("matrix must be 3x3")
+    if det3(field, flat[0:3], flat[3:6], flat[6:9]) == 0:
+        raise SingularMatrixError(f"matrix {flat} is singular")
+    if not 0 <= frob < field.h:
+        raise ValueError(f"frobenius exponent {frob} outside [0, {field.h})")
+    return Collineation(_normalize_matrix(field, flat), frob)
 
 
 def recount_coverage(plane, members) -> list[int]:
@@ -289,6 +320,37 @@ def _frame_matrix(plane, quad):
     return _adjugate(f, H)
 
 
+def _complete_to_frame(plane, pts):
+    """Deterministically extend <= 3 points in general position to an
+    ordered frame, scanning candidate points in index order."""
+    chosen = list(pts)
+    for cand in range(plane.size):
+        if len(chosen) == 4:
+            break
+        if cand in chosen:
+            continue
+        ok = True
+        for i, j in combinations(range(len(chosen)), 2):
+            if plane.collinear(chosen[i], chosen[j], cand):
+                ok = False
+                break
+        if ok:
+            chosen.append(cand)
+    return chosen
+
+
+def small_canonical(plane, pts) -> PointSetCanonicalForm:
+    """Sizes 1..3: the group is transitive on points, point pairs and
+    triangles, so fixed prefixes of the standard frame serve as
+    conventional representatives."""
+    n = len(pts)
+    if n == 3 and plane.collinear_triple(pts) is not None:
+        raise DegenerateSetError("3 collinear points have no arc-style canonical form")
+    quad = _complete_to_frame(plane, pts)
+    g = frame_map(plane, quad)
+    return PointSetCanonicalForm(standard_frame(plane)[:n], g)
+
+
 def sweep_canonicalize(plane, points, group: str = PGL) -> PointSetCanonicalForm:
     """Least image of an arc under the configured group.
 
@@ -303,7 +365,7 @@ def sweep_canonicalize(plane, points, group: str = PGL) -> PointSetCanonicalForm
     if not pts:
         raise EmptySetError("cannot canonicalize the empty set")
     if len(pts) < 4:
-        return _small_canonical(plane, pts)
+        return small_canonical(plane, pts)
 
     field = plane.field
     frob_range = range(field.h) if group == PGAMMAL else range(1)
@@ -433,3 +495,24 @@ def set_classify(plane, group: str, threshold: int) -> list[list[tuple[int, ...]
             break
         levels.append(sorted(canons))
     return levels
+
+
+def per_arc_min_complete_size(config: SearchConfig, plane):
+    """(t, sorted class representatives) of the smallest complete arcs,
+    by the same classification and extension as search.min_complete_size
+    but with each reported arc of size t canonicalized on its own and the
+    forms deduplicated in a set."""
+    levels = classify(config, plane)
+    for lv in levels:
+        complete = [r for r in lv.representatives if candidate_mask(plane, r) == 0]
+        if complete:
+            return lv.size, complete
+    top = levels[-1]
+    level_map = {rep: i for i, rep in enumerate(top.representatives)}
+    for bound in range(max(lower_bound(config.q), top.size + 1), config.q + 3):
+        found = _run_extension(config, plane, top.representatives, bound, level_map)
+        if found:
+            t = min(len(a) for a in found)
+            return t, sorted({canonicalize(plane, a, config.group).canon
+                              for a in found if len(a) == t})
+    raise RuntimeError(f"no complete arc found up to size {config.q + 2}")

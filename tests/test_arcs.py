@@ -3,8 +3,11 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import standard_frame
+from pgarc.plane import DuplicatePointsError
 from oracles import brute_force_is_complete, random_arc, recount_coverage
 from support import get_plane
 
@@ -63,3 +66,12 @@ def test_candidate_mask_of_greedy_maximal_arc_is_empty():
     rng = random.Random(99)
     members = random_arc(pl, rng)  # grown until no point extends it
     assert candidate_mask(pl, members) == 0
+
+
+def test_candidate_mask_rejects_repeated_members():
+    pl = get_plane(5)
+    assert bin(candidate_mask(pl, [3])).count("1") == pl.size - 1
+    with pytest.raises(DuplicatePointsError, match="point 3 is repeated"):
+        candidate_mask(pl, [3, 3])
+    with pytest.raises(DuplicatePointsError, match="point 0 is repeated"):
+        candidate_mask(pl, [*standard_frame(pl), 0])

@@ -168,6 +168,21 @@ def test_resolution_report_is_committed_and_consistent():
         assert cert.meta["modulus_resolution"] == "gf32_resolution.json"
 
 
+def test_sweep_case_recomputes_on_distinct_points():
+    """A published point that repeats another fails the case through its
+    distinct flag; every other claim is the one of the distinct points."""
+    from pgarc.certificates import _sweep_case
+
+    pl = get_plane(32)
+    exponents = [tuple(e) for e in load_fixture("arc14_q32_z5").meta["generator_exponents"]]
+    clean = _sweep_case(pl, exponents, 5, "Z5")
+    repeated = _sweep_case(pl, exponents + [exponents[0], (0, 0)], 5, "Z5")
+    assert clean["distinct"] and not repeated["distinct"]
+    assert not repeated["passes"]
+    for key in ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name"):
+        assert repeated[key] == clean[key], key
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -13,9 +13,9 @@ from pgarc.collineation import (
     PGL,
     apply,
     canonicalize,
-    collineation,
     compose,
     element_order,
+    frame_images,
     frame_map,
     generating_subset,
     group_order,
@@ -25,7 +25,7 @@ from pgarc.collineation import (
     standard_frame,
 )
 import oracles
-from oracles import all_pgl_matrices_q2, group_closure, mask_image
+from oracles import all_pgl_matrices_q2, collineation, group_closure, mask_image
 from support import classification, get_field, get_plane
 
 
@@ -158,14 +158,22 @@ def test_any_4_arc_canonicalizes_to_standard_frame():
 
 
 def test_canonicalize_small_sets_and_empty():
+    """Fewer than 4 points hold no frame: canonicalize and frame_images
+    refuse them, and the empty set keeps its own error.  The conventional
+    frame prefixes live on in the oracle."""
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
     with pytest.raises(EmptySetError):
         canonicalize(pl, [])
-    assert canonicalize(pl, [17]).canon == (0,)
-    assert canonicalize(pl, [17, 30]).canon == (0, 1)
-    tri = canonicalize(pl, [17, 30, 4])
+    for pts in ([17], [17, 30], [17, 30, 4], [17, 17, 30, 30]):
+        with pytest.raises(DegenerateSetError, match="at least 4 points"):
+            canonicalize(pl, pts)
+        with pytest.raises(DegenerateSetError, match="at least 4 points"):
+            frame_images(pl, pts)
+    assert oracles.small_canonical(pl, [17]).canon == (0,)
+    assert oracles.small_canonical(pl, [17, 30]).canon == (0, 1)
+    tri = oracles.small_canonical(pl, [17, 30, 4])
     assert tri.canon == (0, 1, 6)
     assert tuple(sorted(apply(pl, tri.witness, p) for p in [17, 30, 4])) == tri.canon
 
@@ -202,6 +210,41 @@ def test_canonicalize_is_least_over_group_images():
                 assert canon <= image
 
 
+@pytest.mark.parametrize(
+    "q, group", [(5, PGL), (7, PGL), (4, PGAMMAL), (8, PGAMMAL), (9, PGAMMAL)]
+)
+def test_frame_images_hold_every_image_on_the_frame(q, group):
+    """Property: for random arcs A and random collineations g, if g(A)
+    contains the standard frame, then it is in frame_images(A).  g is a
+    random element followed by the frame map of the image of a random
+    ordered 4-subset of A, so g(A) always holds the frame.  Conversely
+    there is one image per Frobenius power and ordered 4-subset, each
+    holds the frame and lies in A's class, and the least is A's
+    canonical form."""
+    pl = get_plane(q)
+    rng = random.Random(f"frame_images:{q}:{group}")
+    frame = set(standard_frame(pl))
+    h = pl.field.h if group == PGAMMAL else 1
+    for _ in range(4):
+        arc = oracles.random_arc(pl, rng, max_size=rng.randint(5, min(q + 2, 8)))
+        k = len(arc)
+        images = list(frame_images(pl, arc, group))
+        assert len(images) == h * k * (k - 1) * (k - 2) * (k - 3)
+        image_set = set(images)
+        canon = canonicalize(pl, arc, group).canon
+        assert min(image_set) == canon
+        for image in rng.sample(images, 10):
+            assert frame <= set(image)
+            assert canonicalize(pl, image, group).canon == canon
+        for _ in range(30):
+            g = random_collineation(pl, rng, group)
+            quad = [apply(pl, g, p) for p in rng.sample(arc, 4)]
+            g = compose(pl.field, frame_map(pl, quad), g)
+            image = tuple(sorted(apply(pl, g, p) for p in arc))
+            assert frame <= set(image)
+            assert image in image_set, (arc, g)
+
+
 def test_canonicalize_witness_achieves_canon():
     pl = get_plane(9)
     rng = random.Random(9)
@@ -227,6 +270,8 @@ def test_canonicalize_rejects_non_arcs(q, group):
     assert pl.collinear_triple(five) is not None
     with pytest.raises(DegenerateSetError):
         canonicalize(pl, five, group)
+    with pytest.raises(DegenerateSetError, match="not an arc"):
+        frame_images(pl, five, group)
     # rejected before the frame-prefix test can answer False
     line = pl.points_on_line[pl.line_through(0, 1)][:3]
     for bad in (five, line):
@@ -237,7 +282,8 @@ def test_canonicalize_rejects_non_arcs(q, group):
 def test_is_canonical_agrees_with_canonicalize():
     """is_canonical(S) holds exactly when S is its own canonical form: on
     every child of every representative (all candidates, not only those
-    above the representative's last point), on small sets, and on random
+    above the representative's last point), on sets of 1 to 3 points
+    (against the oracle's conventional forms), and on random
     q = 31 arcs, their canonical forms and the children of those."""
 
     def agrees(pl, pts, group):
@@ -256,7 +302,8 @@ def test_is_canonical_agrees_with_canonicalize():
         for n in (1, 2, 3):
             for pts in combinations(range(2 * q + 3), n):
                 if pl.collinear_triple(pts) is None:
-                    assert agrees(pl, pts, group), pts
+                    want = oracles.small_canonical(pl, pts).canon == pts
+                    assert is_canonical(pl, pts, group) == want, pts
 
     pl = get_plane(31)
     rng = random.Random("is_canonical:31")

@@ -10,7 +10,7 @@ from pgarc.plane import (
     SamePointError,
     build_plane,
 )
-from oracles import det3, random_arc, recount_coverage
+from oracles import cross, det3, random_arc, recount_coverage
 from support import get_field, get_plane
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -169,7 +169,7 @@ def test_cross_product_gives_joining_line():
         for _ in range(100):
             i, j = rng.sample(range(pl.size), 2)
             li = pl.line_through(i, j)
-            assert pl.lines[li] == pl.cross(pl.points[i], pl.points[j])
+            assert pl.lines[li] == cross(pl, pl.points[i], pl.points[j])
 
 
 def _secant_oracle(pl, ids):
@@ -193,3 +193,19 @@ def test_secant_mask_matches_determinant(q):
         ids = sorted(set(rng.sample(line, 3)) | set(extra))
         assert pl.collinear_triple(ids) is not None
         assert pl.secant_mask(ids) == _secant_oracle(pl, ids)
+
+
+def test_repeated_ids_rejected():
+    """A repeated id would read line_through_flat[a * n + a] == -1 and so
+    the last line of the plane; it raises, naming the repeated point."""
+    pl = get_plane(5)
+    last = pl.points_on_line[-1]
+    assert 3 not in last
+    for ids in ([3, 3], [3, 9, 3], [9, 3, 3, 20]):
+        with pytest.raises(DuplicatePointsError, match="point 3 is repeated"):
+            pl.secant_mask(ids)
+    for x in last[:2]:
+        with pytest.raises(DuplicatePointsError, match="point 3 is repeated"):
+            pl.collinear_triple([3, 3, x])
+    assert pl.secant_mask([3]) == 0
+    assert pl.collinear_triple([3, last[0]]) is None

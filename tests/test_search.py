@@ -260,3 +260,46 @@ def test_q31_single_branch_extension_smoke():
     rep = canonicalize(pl, members, PGL).canon
     found = extend(pl, PGL, rep, 9)
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "q, group, threshold",
+    [(q, PGL, 4) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [(q, PGAMMAL, 4) for q in (4, 8, 9)]
+    + [(q, PGL, 5) for q in (9, 11, 13)],
+)
+def test_orbit_peeling_matches_per_arc_canonical_forms(q, group, threshold):
+    """The census of min_complete_size against canonicalizing every
+    smallest complete arc the extension reports.  At threshold 5 the
+    top level has 2 or 3 classes, so the first-level ownership pruning
+    is active."""
+    from oracles import per_arc_min_complete_size
+
+    pl = get_plane(q)
+    cfg = SearchConfig(q=q, group=group, classification_threshold=threshold)
+    t, classes = per_arc_min_complete_size(cfg, pl)
+    if threshold == 5:
+        assert len(classification(q, group, threshold)[-1].representatives) > 1
+    r = find_min(q, group, threshold)
+    assert (r.size, r.class_count, r.representatives) == (t, len(classes), classes)
+
+
+def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
+    """A call-count guard, not a timing gate: at q = 13 the extension
+    reports 400 complete 8-arcs in 2 classes, and the census must not
+    canonicalize them one by one."""
+    import pgarc.collineation
+    import pgarc.search
+
+    calls = []
+    original = pgarc.collineation.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgarc.collineation, "canonicalize", counted)
+    monkeypatch.setattr(pgarc.search, "canonicalize", counted)
+    r = min_complete_size(SearchConfig(q=13, classification_threshold=4), get_plane(13))
+    assert (r.size, r.class_count) == (8, 2)
+    assert 1 <= len(calls) <= 1 + r.class_count
