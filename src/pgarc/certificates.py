@@ -114,14 +114,8 @@ def serialize_certificate(cert: ArcCertificate) -> str:
 def make_certificate(plane: Plane, group: str, point_ids, meta: dict | None = None) -> ArcCertificate:
     """Certificate for a point set with claims filled in by recomputation."""
     ids = sorted(set(point_ids))
-    collinear, uncovered, stab = _recompute(plane, group, ids)
+    claims, _ = _claims(plane, group, ids)
     params = plane.field.params
-    claims = {
-        "is_arc": collinear is None,
-        "is_complete": uncovered == 0,
-        "stabilizer_order": stab.order if stab else 0,
-        "stabilizer_name": stab.name if stab else "unknown",
-    }
     return ArcCertificate(
         p=params.p,
         h=params.ext_degree,
@@ -148,6 +142,27 @@ def _recompute(plane: Plane, group: str, ids):
     return bad, uncovered, structure
 
 
+def _claims(plane: Plane, group: str, ids) -> tuple[dict, dict]:
+    """(the four claims, their witnesses) recomputed for sorted distinct
+    ids.  A degenerate set (no general-position quadruple) has no
+    stabilizer to compute and claims order 0, name "unknown".  The
+    is_arc witness is a collinear triple and the is_complete witness the
+    first non-member on no secant, as coordinate lists; None otherwise."""
+    bad, uncovered, structure = _recompute(plane, group, ids)
+    claims = {
+        "is_arc": bad is None,
+        "is_complete": uncovered == 0,
+        "stabilizer_order": structure.order if structure else 0,
+        "stabilizer_name": structure.name if structure else "unknown",
+    }
+    witnesses = {
+        "is_arc": None if bad is None else [list(plane.points[i]) for i in bad],
+        "is_complete": None if uncovered == 0
+        else list(plane.points[(uncovered & -uncovered).bit_length() - 1]),
+    }
+    return claims, witnesses
+
+
 def verify(cert: ArcCertificate) -> VerifyReport:
     """Recompute every claim from scratch and compare."""
     try:
@@ -165,59 +180,13 @@ def verify(cert: ArcCertificate) -> VerifyReport:
     if len(set(ids)) != len(ids):
         raise MalformedCertificateError("points are not distinct after normalization")
 
-    bad, uncovered, structure = _recompute(plane, cert.group, ids)
-    complete = uncovered == 0
-    failures = []
-    # degenerate sets (no general-position quadruple) have no stabilizer
-    # to compute; the 0/"unknown" encoding matches make_certificate
-    computed = {
-        "is_arc": bad is None,
-        "is_complete": complete,
-        "stabilizer_order": structure.order if structure else 0,
-        "stabilizer_name": structure.name if structure else "unknown",
-    }
-    if (bad is None) != cert.claims["is_arc"]:
-        failures.append(
-            {
-                "claim": "is_arc",
-                "claimed": cert.claims["is_arc"],
-                "computed": bad is None,
-                "witness": None if bad is None else [list(plane.points[i]) for i in bad],
-            }
-        )
-    if complete != cert.claims["is_complete"]:
-        witness = None
-        if not complete:
-            first = (uncovered & -uncovered).bit_length() - 1
-            witness = list(plane.points[first])
-        failures.append(
-            {
-                "claim": "is_complete",
-                "claimed": cert.claims["is_complete"],
-                "computed": complete,
-                "witness": witness,
-            }
-        )
-    order = computed["stabilizer_order"]
-    name = computed["stabilizer_name"]
-    if order != cert.claims["stabilizer_order"]:
-        failures.append(
-            {
-                "claim": "stabilizer_order",
-                "claimed": cert.claims["stabilizer_order"],
-                "computed": order,
-                "witness": None,
-            }
-        )
-    if name != cert.claims["stabilizer_name"]:
-        failures.append(
-            {
-                "claim": "stabilizer_name",
-                "claimed": cert.claims["stabilizer_name"],
-                "computed": name,
-                "witness": None,
-            }
-        )
+    computed, witnesses = _claims(plane, cert.group, ids)
+    failures = [
+        {"claim": key, "claimed": cert.claims[key], "computed": computed[key],
+         "witness": witnesses.get(key)}
+        for key in CLAIM_KEYS
+        if computed[key] != cert.claims[key]
+    ]
     return VerifyReport(valid=not failures, failures=failures, computed=computed)
 
 

@@ -13,14 +13,14 @@ Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
-of them, is_canonical stops at the first one below the arc, and
-stabilizer keeps the maps onto the set itself.  All four run on one
-kernel, _frame_sweep.  For each unordered non-collinear triple T it
-evaluates the three sides of T at every point of the set once; the 6
-orderings of T only permute those values, and the frame map of (T, D)
-divides them by their values at D.  In discrete logarithms that is two
-subtractions and two table lookups per image point, with no matrix and
-no normalization.
+of them, has_image_below stops at the first one below a given arc (the
+arc itself for is_canonical), and stabilizer keeps the maps onto the set
+itself.  All of them run on one kernel, _frame_sweep.  For each
+unordered non-collinear triple T it evaluates the three sides of T at
+every point of the set once; the 6 orderings of T only permute those
+values, and the frame map of (T, D) divides them by their values at D.
+In discrete logarithms that is two subtractions and two table lookups
+per image point, with no matrix and no normalization.
 """
 
 from __future__ import annotations
@@ -154,25 +154,18 @@ def element_order(field, g: Collineation, cap: int = 100000) -> int:
 
 
 def apply_matrix(plane: Plane, m, point: int) -> int:
-    """Image of a point index under a matrix (no Frobenius part)."""
+    """Image of a point index under a matrix (no Frobenius part).  A
+    singular matrix that sends the point to the zero triple raises."""
     f = plane.field
     q = f.q
     mt = f.mul_flat
     at = f.add_flat
     x0, x1, x2 = plane.points[point]
-    y0 = at[at[mt[m[0] * q + x0] * q + mt[m[1] * q + x1]] * q + mt[m[2] * q + x2]]
-    y1 = at[at[mt[m[3] * q + x0] * q + mt[m[4] * q + x1]] * q + mt[m[5] * q + x2]]
-    y2 = at[at[mt[m[6] * q + x0] * q + mt[m[7] * q + x1]] * q + mt[m[8] * q + x2]]
-    if y0:
-        if y0 != 1:
-            s = f.inv_list[y0]
-            return plane.point_index[(1, mt[s * q + y1], mt[s * q + y2])]
-        return plane.point_index[(1, y1, y2)]
-    if y1:
-        if y1 != 1:
-            return plane.point_index[(0, 1, mt[f.inv_list[y1] * q + y2])]
-        return plane.point_index[(0, 1, y2)]
-    return 0  # (0, 0, 1) is point 0
+    return plane.point_id((
+        at[at[mt[m[0] * q + x0] * q + mt[m[1] * q + x1]] * q + mt[m[2] * q + x2]],
+        at[at[mt[m[3] * q + x0] * q + mt[m[4] * q + x1]] * q + mt[m[5] * q + x2]],
+        at[at[mt[m[6] * q + x0] * q + mt[m[7] * q + x1]] * q + mt[m[8] * q + x2]],
+    ))
 
 
 def apply(plane: Plane, g: Collineation, point: int) -> int:
@@ -337,21 +330,38 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), witness)
 
 
-def is_canonical(plane: Plane, points, group: str = PGL) -> bool:
-    """canonicalize(...).canon == sorted(points), stopping at the first smaller image."""
-    _check_group(group)
-    pts = sorted(set(points))
-    if plane.collinear_triple(pts) is not None:
-        raise DegenerateSetError(f"not an arc: {pts} has a collinear triple")
-    if tuple(pts[:4]) != standard_frame(plane)[: len(pts)]:
-        return False
-    row, exp, rest = plane.affine_row, plane.field.exp, pts[3:]
+def _image_below(plane: Plane, pts, rest, group: str) -> bool:
+    """Whether a frame image of the sorted arc pts has a tail below rest
+    (frame_images with an early exit)."""
+    row, exp = plane.affine_row, plane.field.exp
     for _, _, _, r1, r2, _ in _frame_sweep(plane, pts, group):
         pairs = list(zip(r1, r2))
         for d1, d2 in pairs:
             if sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) < rest:
-                return False
-    return True
+                return True
+    return False
+
+
+def has_image_below(plane: Plane, points, target, group: str = PGL) -> bool:
+    """Whether some image of an arc sorts below target, a sorted arc that
+    starts with the standard frame; stops at the first such image.
+
+    The least image of an arc holds the frame (canonicalize), so some
+    image is below target exactly when one of frame_images is, and those
+    all share target's first three points.  The arc is checked as in
+    canonicalize.
+    """
+    pts = _arc_points(plane, points, group)
+    if tuple(target[:4]) != standard_frame(plane):
+        raise DegenerateSetError(f"target {tuple(target)} does not start with the standard frame")
+    return _image_below(plane, pts, list(target[3:]), group)
+
+
+def is_canonical(plane: Plane, points, group: str = PGL) -> bool:
+    """canonicalize(...).canon == sorted(points): the arc starts with the
+    standard frame and has no image below itself.  Raises as canonicalize."""
+    pts = _arc_points(plane, points, group)
+    return tuple(pts[:4]) == standard_frame(plane) and not _image_below(plane, pts, pts[3:], group)
 
 
 def stabilizer(plane: Plane, points, group: str = PGL):

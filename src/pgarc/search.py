@@ -11,9 +11,11 @@ Above the threshold a depth-first extension takes over: candidates are
 added in increasing point-index order (each child only considers points
 greater than the last added one, so each superset is enumerated once)
 and a branch is cut at the size bound.  Isomorph rejection at the first
-extension level assigns each child to the representative owning the
-least class index among the child's threshold-size sub-arcs; a complete
-arc is then still found under the minimal class it contains, so the
+extension level uses the same least-image test as the classification:
+a child R + (x,) of a representative R is explored only if no other
+codimension-1 sub-arc of it has an image below R.  The level is sorted,
+so R is then the least class among the child's sub-arcs, and a complete
+arc is found under the least class of threshold size it contains: the
 union over all branches remains exhaustive.
 
 The smallest complete arcs found are sorted into classes by orbit
@@ -35,7 +37,9 @@ from pathlib import Path
 
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
-from .collineation import GROUPS, PGL, canonicalize, frame_images, is_canonical, standard_frame
+from .collineation import (
+    GROUPS, PGL, frame_images, has_image_below, is_canonical, standard_frame,
+)
 from .gf import build_field, factor_prime_power
 from .plane import Plane, build_plane
 
@@ -111,9 +115,26 @@ def default_field(q: int):
     return build_field(p, h, "auto")
 
 
-@functools.lru_cache(maxsize=None)
+# planes by the (p, h, modulus) of their field; forked workers inherit it
+_PLANES: dict = {}
+
+
 def default_plane(q: int) -> Plane:
-    return build_plane(default_field(q))
+    return _cached_plane(default_field(q).params)
+
+
+def _cached_plane(params) -> Plane:
+    """The plane over the field with these FieldParams, built on first use."""
+    if params not in _PLANES:
+        _PLANES[params] = build_plane(build_field(params.p, params.ext_degree, params.modulus))
+    return _PLANES[params]
+
+
+def _plane_key(plane: Plane):
+    """The plane's FieldParams, under which it is cached, so a worker job
+    can name the plane it runs on."""
+    _PLANES.setdefault(plane.field.params, plane)
+    return plane.field.params
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +146,8 @@ def _canonical_children(plane: Plane, group: str, rep: tuple[int, ...]) -> list:
     return [rep + (x,) for x in iter_bits(above) if is_canonical(plane, rep + (x,), group)]
 
 
-def _classify_job(i: int, q: int, group: str, reps) -> list:
-    return _canonical_children(default_plane(q), group, reps[i])
+def _classify_job(i: int, key, group: str, reps) -> list:
+    return _canonical_children(_cached_plane(key), group, reps[i])
 
 
 def _level_filename(q: int, group: str, size: int) -> str:
@@ -174,7 +195,7 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
         Path(ckdir).mkdir(parents=True, exist_ok=True)
 
     frame = standard_frame(plane)
-    levels = [ClassificationLevel(4, [canonicalize(plane, frame, group).canon])]
+    levels = [ClassificationLevel(4, [frame])]  # its own least image
     if ckdir:
         loaded = load_level(ckdir, config.q, group, 4)
         if loaded is None:
@@ -193,7 +214,7 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
             props = config.proportions or scheduler.equal_proportions(config.worker_count)
             part = scheduler.partition(len(prev), props)
             job = functools.partial(
-                _classify_job, q=config.q, group=group, reps=tuple(prev)
+                _classify_job, key=_plane_key(plane), group=group, reps=tuple(prev)
             )
             chunks = scheduler.run_jobs(part, job, stealing=config.stealing)
         else:
@@ -217,23 +238,32 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
 # extension
 
 
+def _owns_child(plane: Plane, group: str, root, x: int) -> bool:
+    """Whether the branch of the sorted canonical arc root explores its
+    child root + (x,): no other codimension-1 sub-arc of the child has an
+    image below root."""
+    return not any(
+        has_image_below(plane, [p for p in root if p != y] + [x], root, group) for y in root
+    )
+
+
 def extend(
     plane: Plane,
     group: str,
     rep: tuple[int, ...],
     bound: int,
-    rep_index: int | None = None,
-    level_map: dict | None = None,
+    prune: bool = False,
 ) -> list[tuple[int, ...]]:
     """Depth-first extension of one representative's branch.
 
     Reports every complete arc of size <= bound reachable from rep by
-    adding candidates in increasing index order.  When a level map
-    {canonical form -> class index} for the representative's size is
-    supplied, a first-level child is explored only if this branch owns
-    it, i.e. the least class index among the child's codimension-1
-    sub-arcs equals rep_index; every complete arc is then found under
-    exactly the least class it contains, so nothing is lost.
+    adding candidates in increasing index order.  With prune, rep must
+    be a canonical form (a classification representative), and a
+    first-level child is explored only if this branch owns it
+    (_owns_child).  Every complete arc is then found under exactly the
+    least class of rep's size it contains, so nothing is lost.  With a
+    single class at that size every branch owns every child, so
+    min_complete_size leaves prune off.
     """
     root = sorted(rep)
     size0 = len(root)
@@ -250,9 +280,6 @@ def extend(
         return results
     if size0 == bound:
         return results
-
-    # with a single class at the root size every child's owner is index 0
-    prune = level_map is not None and rep_index is not None and len(level_map) > 1
 
     # the root's secant block against each candidate never changes along a
     # descent, so fold those size0 mask updates into one precomputed AND;
@@ -279,46 +306,38 @@ def extend(
             added.pop()
 
     for x in iter_bits(cand0):
-        if prune:
-            child = tuple(sorted((*root, x)))
-            owner = min(
-                level_map[
-                    canonicalize(plane, child[:i] + child[i + 1 :], group).canon
-                ]
-                for i in range(len(child))
-            )
-            if owner != rep_index:
-                continue
+        if prune and not _owns_child(plane, group, root, x):
+            continue
         added.append(x)
         descend(cand0 & root_block[x], x, size0 + 1)
         added.pop()
     return results
 
 
-def _extend_job(i: int, q: int, group: str, reps, bound: int, level_map) -> list:
-    return extend(default_plane(q), group, reps[i], bound, i, level_map)
+def _extend_job(i: int, key, group: str, reps, bound: int, prune: bool) -> list:
+    return extend(_cached_plane(key), group, reps[i], bound, prune)
 
 
-def _run_extension(config: SearchConfig, plane: Plane, reps, bound: int, level_map):
+def _run_extension(config: SearchConfig, plane: Plane, reps, bound: int, prune: bool):
     """Extend every representative; merge results in representative order."""
     if config.worker_count > 1 and len(reps) > 1:
         props = config.proportions or scheduler.equal_proportions(config.worker_count)
         part = scheduler.partition(len(reps), props)
         job = functools.partial(
             _extend_job,
-            q=config.q,
+            key=_plane_key(plane),
             group=config.group,
             reps=tuple(reps),
             bound=bound,
-            level_map=level_map,
+            prune=prune,
         )
         merged: list[tuple[int, ...]] = []
         for branch in scheduler.run_jobs(part, job, stealing=config.stealing):
             merged.extend(branch)
         return merged
     merged = []
-    for i, rep in enumerate(reps):
-        merged.extend(extend(plane, config.group, rep, bound, i, level_map))
+    for rep in reps:
+        merged.extend(extend(plane, config.group, rep, bound, prune))
     return merged
 
 
@@ -351,10 +370,10 @@ def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCo
             return MinCompleteResult(config.q, config.group, lv.size, len(complete), complete)
 
     top = levels[-1]
-    level_map = {rep: i for i, rep in enumerate(top.representatives)}
+    prune = top.count > 1
     bound = max(lower_bound(config.q), top.size + 1)
     while bound <= config.q + 2:
-        found = _run_extension(config, plane, top.representatives, bound, level_map)
+        found = _run_extension(config, plane, top.representatives, bound, prune)
         if found:
             t = min(len(a) for a in found)
             classes = _peel_orbits(plane, config.group, [a for a in found if len(a) == t])

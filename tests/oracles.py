@@ -12,11 +12,13 @@ frame matrix per quadruple, are the slow reference for the log-domain
 frame sweep of pgarc.collineation.  Classification by canonicalizing
 every child of every representative and deduplicating in a set is the
 slow reference for the orderly (canonical-parent) classification of
-pgarc.search, and canonicalizing every smallest complete arc the
-extension reports is the slow reference for its orbit peeling.  The
-validated collineation constructor, the cross product and the
-conventional canonical forms of 1 to 3 points serve only the tests, so
-they live here too.
+pgarc.search, canonicalizing every codimension-1 sub-arc of a child and
+taking the least class index is the slow reference for the least-image
+ownership test of its extension, and canonicalizing every smallest
+complete arc the extension reports is the slow reference for its orbit
+peeling.  The validated collineation constructor, the cross product and
+the conventional canonical forms of 1 to 3 points serve only the tests,
+so they live here too.
 """
 
 from __future__ import annotations
@@ -497,6 +499,18 @@ def set_classify(plane, group: str, threshold: int) -> list[list[tuple[int, ...]
     return levels
 
 
+def class_index_owner(plane, group: str, level_index: dict, child) -> int:
+    """Index of the branch that explores a first-level child under the
+    class-index rule: the least index, in the sorted level, of the
+    canonical forms of the child's codimension-1 sub-arcs.  level_index
+    maps each representative of the level to its index."""
+    child = sorted(child)
+    return min(
+        level_index[canonicalize(plane, child[:i] + child[i + 1:], group).canon]
+        for i in range(len(child))
+    )
+
+
 def per_arc_min_complete_size(config: SearchConfig, plane):
     """(t, sorted class representatives) of the smallest complete arcs,
     by the same classification and extension as search.min_complete_size
@@ -508,9 +522,8 @@ def per_arc_min_complete_size(config: SearchConfig, plane):
         if complete:
             return lv.size, complete
     top = levels[-1]
-    level_map = {rep: i for i, rep in enumerate(top.representatives)}
     for bound in range(max(lower_bound(config.q), top.size + 1), config.q + 3):
-        found = _run_extension(config, plane, top.representatives, bound, level_map)
+        found = _run_extension(config, plane, top.representatives, bound, top.count > 1)
         if found:
             t = min(len(a) for a in found)
             return t, sorted({canonicalize(plane, a, config.group).canon

@@ -74,6 +74,42 @@ def test_mutated_fixture_rejected_with_collinear_witness():
     assert pl.collinear(*w)
 
 
+def test_all_four_claims_flipped_pins_the_failure_list():
+    """The exact failures, in CLAIM_KEYS order with their witnesses, of a
+    certificate whose every claim is wrong: the frame of PG(2,7) plus a
+    point on a secant (both witnesses set), and the q = 31 fixture (no
+    witness, since its arc and completeness claims fail the other way)."""
+    pl = get_plane(7)
+    frame = list(standard_frame(pl))
+    cert = make_certificate(pl, PGL, frame + [2])  # point 2 is on the line through 0 and 1
+    stab = "other(order=8, element_orders=1^1,2^5,4^2)"
+    assert cert.claims == {"is_arc": False, "is_complete": False,
+                           "stabilizer_order": 8, "stabilizer_name": stab}
+    cert.claims = {"is_arc": True, "is_complete": True,
+                   "stabilizer_order": 1, "stabilizer_name": "trivial"}
+    report = verify(cert)
+    assert not report.valid
+    assert report.failures == [
+        {"claim": "is_arc", "claimed": True, "computed": False,
+         "witness": [[0, 0, 1], [0, 1, 0], [0, 1, 1]]},
+        {"claim": "is_complete", "claimed": True, "computed": False, "witness": [1, 2, 3]},
+        {"claim": "stabilizer_order", "claimed": 1, "computed": 8, "witness": None},
+        {"claim": "stabilizer_name", "claimed": "trivial", "computed": stab, "witness": None},
+    ]
+    assert report.computed == {"is_arc": False, "is_complete": False,
+                               "stabilizer_order": 8, "stabilizer_name": stab}
+
+    fixture = load_fixture("arc14_q31_s3")
+    fixture.claims = {"is_arc": False, "is_complete": False,
+                      "stabilizer_order": 3, "stabilizer_name": "Z3"}
+    assert verify(fixture).failures == [
+        {"claim": "is_arc", "claimed": False, "computed": True, "witness": None},
+        {"claim": "is_complete", "claimed": False, "computed": True, "witness": None},
+        {"claim": "stabilizer_order", "claimed": 3, "computed": 6, "witness": None},
+        {"claim": "stabilizer_name", "claimed": "Z3", "computed": "S3", "witness": None},
+    ]
+
+
 def test_serialization_round_trip_is_byte_identical():
     for name in ARC_FIXTURES:
         text = fixture_text(name)

@@ -19,6 +19,7 @@ from pgarc.collineation import (
     frame_map,
     generating_subset,
     group_order,
+    has_image_below,
     inverse,
     is_canonical,
     stabilizer,
@@ -72,6 +73,18 @@ def test_q2_full_matrix_group_order_and_transitivity():
     for m in mats:
         orbit.add(apply_matrix(pl, m, 0))
     assert orbit == set(range(7))
+
+
+def test_apply_matrix_rejects_a_kernel_point_of_a_singular_matrix():
+    """diag(1, 1, 0) sends (0, 0, 1), point 0, to the zero triple: that
+    raises instead of landing on point 0."""
+    from pgarc.collineation import apply_matrix
+
+    pl = get_plane(5)
+    m = (1, 0, 0, 0, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="zero triple"):
+        apply_matrix(pl, m, 0)
+    assert apply_matrix(pl, m, pl.point_index[(1, 2, 3)]) == pl.point_index[(1, 2, 0)]
 
 
 def test_group_orders():
@@ -158,19 +171,21 @@ def test_any_4_arc_canonicalizes_to_standard_frame():
 
 
 def test_canonicalize_small_sets_and_empty():
-    """Fewer than 4 points hold no frame: canonicalize and frame_images
-    refuse them, and the empty set keeps its own error.  The conventional
-    frame prefixes live on in the oracle."""
+    """Fewer than 4 points hold no frame: canonicalize, frame_images,
+    is_canonical and has_image_below refuse them, and the empty set keeps
+    its own error.  The conventional frame prefixes live on in the
+    oracle."""
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
-    with pytest.raises(EmptySetError):
-        canonicalize(pl, [])
-    for pts in ([17], [17, 30], [17, 30, 4], [17, 17, 30, 30]):
-        with pytest.raises(DegenerateSetError, match="at least 4 points"):
-            canonicalize(pl, pts)
-        with pytest.raises(DegenerateSetError, match="at least 4 points"):
-            frame_images(pl, pts)
+    frame = standard_frame(pl)
+    for check in (canonicalize, frame_images, is_canonical,
+                  lambda pl, pts: has_image_below(pl, pts, frame)):
+        with pytest.raises(EmptySetError):
+            check(pl, [])
+        for pts in ([0], [17], [0, 1], [17, 30], [0, 1, 6], [17, 30, 4], [17, 17, 30, 30]):
+            with pytest.raises(DegenerateSetError, match="at least 4 points"):
+                check(pl, pts)
     assert oracles.small_canonical(pl, [17]).canon == (0,)
     assert oracles.small_canonical(pl, [17, 30]).canon == (0, 1)
     tri = oracles.small_canonical(pl, [17, 30, 4])
@@ -282,9 +297,8 @@ def test_canonicalize_rejects_non_arcs(q, group):
 def test_is_canonical_agrees_with_canonicalize():
     """is_canonical(S) holds exactly when S is its own canonical form: on
     every child of every representative (all candidates, not only those
-    above the representative's last point), on sets of 1 to 3 points
-    (against the oracle's conventional forms), and on random
-    q = 31 arcs, their canonical forms and the children of those."""
+    above the representative's last point), and on random q = 31 arcs,
+    their canonical forms and the children of those."""
 
     def agrees(pl, pts, group):
         want = canonicalize(pl, pts, group).canon == tuple(sorted(pts))
@@ -299,11 +313,6 @@ def test_is_canonical_agrees_with_canonicalize():
                 assert is_canonical(pl, rep, group)
                 for x in iter_bits(candidate_mask(pl, rep)):
                     assert agrees(pl, rep + (x,), group), (q, group, rep, x)
-        for n in (1, 2, 3):
-            for pts in combinations(range(2 * q + 3), n):
-                if pl.collinear_triple(pts) is None:
-                    want = oracles.small_canonical(pl, pts).canon == pts
-                    assert is_canonical(pl, pts, group) == want, pts
 
     pl = get_plane(31)
     rng = random.Random("is_canonical:31")
@@ -316,6 +325,23 @@ def test_is_canonical_agrees_with_canonicalize():
             children = [parent + (x,) for x in rng.sample(cands, 8)]
             for pts in (arc, canon, *children):
                 assert agrees(pl, pts, PGL), pts
+
+
+def test_has_image_below_compares_with_the_canonical_form():
+    """has_image_below(A, T) holds exactly when canonicalize(A) is below
+    T, for random arcs A and every representative T of sizes 5 and 6; a
+    target that does not start with the standard frame is refused."""
+    for q, group in ((7, PGL), (9, PGAMMAL)):
+        pl = get_plane(q)
+        rng = random.Random(f"has_image_below:{q}:{group}")
+        for lv in classification(q, group, 6)[1:]:
+            for _ in range(4):
+                arc = oracles.random_arc(pl, rng, max_size=lv.size)
+                canon = canonicalize(pl, arc, group).canon
+                for target in lv.representatives:
+                    assert has_image_below(pl, arc, target, group) == (canon < target)
+    with pytest.raises(DegenerateSetError, match="standard frame"):
+        has_image_below(pl, arc, sorted(arc)[1:], group)
 
 
 def test_log_domain_sweep_matches_ordered_quadruple_sweep():

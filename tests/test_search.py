@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from pgarc.arcs import candidate_mask
+from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import PGAMMAL, PGL, canonicalize, standard_frame
+from pgarc.gf import build_field
+from pgarc.plane import build_plane
 from pgarc.search import (
     ClassificationLevel,
     SearchConfig,
+    _owns_child,
     classify,
     extend,
     load_level,
@@ -107,11 +110,10 @@ def test_extension_equals_full_classification():
         full = {s: c for s, c in full.items() if c}
 
         lv4 = classification(q, group, 4)[-1]
-        level_map = {rep: i for i, rep in enumerate(lv4.representatives)}
         seen = set()
         by_size = Counter()
-        for i, rep in enumerate(lv4.representatives):
-            for arc in extend(pl, group, rep, q + 2, i, level_map):
+        for rep in lv4.representatives:
+            for arc in extend(pl, group, rep, q + 2, prune=lv4.count > 1):
                 canon = canonicalize(pl, arc, group).canon
                 if canon not in seen:
                     seen.add(canon)
@@ -131,24 +133,36 @@ def test_extend_ownership_pruning_partitions_children():
     pl = get_plane(q)
     levels = classification(q, group, 5)
     top = levels[-1].representatives
-    level_map = {rep: i for i, rep in enumerate(top)}
     class_owner = {}
     for i, rep in enumerate(top):
-        from pgarc.arcs import iter_bits
-
         for x in iter_bits(candidate_mask(pl, rep)):
-            child = tuple(sorted((*rep, x)))
-            owner = min(
-                level_map[canonicalize(pl, child[:k] + child[k + 1 :], group).canon]
-                for k in range(len(child))
-            )
-            if owner != i:
+            if not _owns_child(pl, group, rep, x):
                 continue
-            canon = canonicalize(pl, child, group).canon
+            canon = canonicalize(pl, (*rep, x), group).canon
             assert class_owner.setdefault(canon, i) == i
     # every child class of the next level is owned by some branch
     next_level = classification(q, group, 6)[-1]
     assert set(class_owner) == set(next_level.representatives)
+
+
+@pytest.mark.parametrize(
+    "q, group",
+    [(7, PGL), (9, PGL), (11, PGL), (13, PGL), (8, PGL), (8, PGAMMAL), (9, PGAMMAL)],
+)
+def test_ownership_matches_class_index_rule(q, group):
+    """The least-image ownership test of extend against the class-index
+    rule it replaces, on every (representative, first-level child) pair
+    of the size-5 and size-6 levels."""
+    from oracles import class_index_owner
+
+    pl = get_plane(q)
+    for lv in classification(q, group, 6)[1:]:
+        assert lv.size in (5, 6)
+        index = {rep: i for i, rep in enumerate(lv.representatives)}
+        for i, rep in enumerate(lv.representatives):
+            for x in iter_bits(candidate_mask(pl, rep)):
+                want = class_index_owner(pl, group, index, (*rep, x)) == i
+                assert _owns_child(pl, group, rep, x) == want, (rep, x)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -194,26 +208,40 @@ WORKER_SETUPS = [
 ]
 
 
+def alternative_plane_16():
+    """PG(2,16) over GF(16) = GF(2)[x] / (x^4 + x + 1), not the default
+    modulus x^4 + x^3 + 1: workers must compute on the caller's plane."""
+    return build_plane(build_field(2, 4, (1, 1, 0, 0, 1)))
+
+
 def test_classification_deterministic_across_workers():
     """Levels 6 and 7 at q = 11 grow from 2 and 15 parents, so the worker
-    path of classify runs, statically and with stealing."""
-    runs = [
-        [lv.representatives for lv in classify(
-            SearchConfig(q=11, classification_threshold=7, **kw))]
-        for kw in WORKER_SETUPS
-    ]
-    assert [len(reps) for reps in runs[0]] == [1, 2, 15, 21]
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    path of classify runs, statically and with stealing; so does level 6
+    of PG(2,16) under a non-default modulus, from 4 parents."""
+    for q, threshold, plane, counts in [(11, 7, None, [1, 2, 15, 21]),
+                                        (16, 6, alternative_plane_16(), [1, 4, 61])]:
+        runs = [
+            [lv.representatives for lv in classify(
+                SearchConfig(q=q, classification_threshold=threshold, **kw), plane)]
+            for kw in WORKER_SETUPS
+        ]
+        assert [len(reps) for reps in runs[0]] == counts
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_min_complete_size_deterministic_across_workers():
-    """Extension at bound 7 runs over the 15 classes of 6-arcs at q = 11."""
-    runs = []
-    for kw in WORKER_SETUPS:
-        r = min_complete_size(SearchConfig(q=11, classification_threshold=6, **kw))
-        runs.append((r.size, r.class_count, r.representatives))
-    assert runs[0][:2] == (7, 1)
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    """Extension at bound 7 runs over the 15 classes of 6-arcs at q = 11,
+    and up to bound 9 over the 4 classes of 5-arcs of PG(2,16) under a
+    non-default modulus."""
+    for q, threshold, plane, want in [(11, 6, None, (7, 1)),
+                                      (16, 5, alternative_plane_16(), (9, 6))]:
+        runs = []
+        for kw in WORKER_SETUPS:
+            r = min_complete_size(
+                SearchConfig(q=q, classification_threshold=threshold, **kw), plane)
+            runs.append((r.size, r.class_count, r.representatives))
+        assert runs[0][:2] == want
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_memory_budget(tmp_path):
@@ -287,7 +315,9 @@ def test_orbit_peeling_matches_per_arc_canonical_forms(q, group, threshold):
 def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
     """A call-count guard, not a timing gate: at q = 13 the extension
     reports 400 complete 8-arcs in 2 classes, and the census must not
-    canonicalize them one by one."""
+    canonicalize them one by one; at q = 11, threshold 6, the ownership
+    test runs on the 15 classes of 6-arcs and must not canonicalize their
+    children's sub-arcs.  The search makes no canonicalize call at all."""
     import pgarc.collineation
     import pgarc.search
 
@@ -298,8 +328,10 @@ def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pgarc.collineation, "canonicalize", counted)
-    monkeypatch.setattr(pgarc.search, "canonicalize", counted)
-    r = min_complete_size(SearchConfig(q=13, classification_threshold=4), get_plane(13))
-    assert (r.size, r.class_count) == (8, 2)
-    assert 1 <= len(calls) <= 1 + r.class_count
+    for module in (pgarc.collineation, pgarc.search):
+        if hasattr(module, "canonicalize"):
+            monkeypatch.setattr(module, "canonicalize", counted)
+    for q, threshold, want in [(13, 4, (8, 2)), (11, 6, (7, 1))]:
+        r = min_complete_size(SearchConfig(q=q, classification_threshold=threshold), get_plane(q))
+        assert (r.size, r.class_count) == want
+        assert calls == [], (q, threshold, len(calls))
