@@ -53,18 +53,27 @@ class VerifyReport:
     computed: dict
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; bool, float and string are refused, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedCertificateError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> ArcCertificate:
     try:
         fld = data["field"]
         cert = ArcCertificate(
-            p=int(fld["p"]),
-            h=int(fld["h"]),
-            modulus=tuple(int(c) for c in fld["modulus"]),
+            p=_integer(fld["p"], "field p"),
+            h=_integer(fld["h"], "field h"),
+            modulus=tuple(_integer(c, "modulus entry") for c in fld["modulus"]),
             group=data["group"],
-            points=[tuple(int(c) for c in pt) for pt in data["points"]],
+            points=[tuple(_integer(c, "point coordinate") for c in pt) for pt in data["points"]],
             claims={k: data["claims"][k] for k in CLAIM_KEYS},
             meta=data.get("meta"),
         )
+    except MalformedCertificateError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"bad certificate structure: {exc}") from exc
     if cert.group not in GROUPS:
@@ -75,10 +84,9 @@ def certificate_from_dict(data: dict) -> ArcCertificate:
         cert.claims["is_complete"], bool
     ):
         raise MalformedCertificateError("is_arc / is_complete claims must be booleans")
-    if not isinstance(cert.claims["stabilizer_order"], int) or not isinstance(
-        cert.claims["stabilizer_name"], str
-    ):
-        raise MalformedCertificateError("stabilizer claims must be (int, str)")
+    _integer(cert.claims["stabilizer_order"], "stabilizer_order claim")
+    if not isinstance(cert.claims["stabilizer_name"], str):
+        raise MalformedCertificateError("stabilizer_name claim must be a string")
     return cert
 
 

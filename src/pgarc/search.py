@@ -5,7 +5,10 @@ of every class of arcs up to a threshold.  Level 4 is the frame; level
 n+1 holds each R + (x,), R in level n and x > max(R) a candidate, that
 is its own least image.  If g(T) < T for T = S - {max S}, then g(S) < S:
 adding g(max S) cannot move the first difference.  So each canonical
-(n+1)-arc comes once, from its canonical parent, already sorted.
+(n+1)-arc comes once, from its canonical parent, already sorted.  The
+children of one parent are tested together by
+collineation.canonical_children, against a table of the parent's frames
+built once.
 
 Above the threshold a depth-first extension takes over: candidates are
 added in increasing point-index order (each child only considers points
@@ -38,7 +41,7 @@ from pathlib import Path
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
 from .collineation import (
-    GROUPS, PGL, frame_images, has_image_below, is_canonical, standard_frame,
+    GROUPS, PGL, canonical_children, frame_images, has_image_below, standard_frame,
 )
 from .gf import build_field, factor_prime_power
 from .plane import Plane, build_plane
@@ -143,7 +146,7 @@ def _plane_key(plane: Plane):
 
 def _canonical_children(plane: Plane, group: str, rep: tuple[int, ...]) -> list:
     above = candidate_mask(plane, rep) >> (rep[-1] + 1) << (rep[-1] + 1)
-    return [rep + (x,) for x in iter_bits(above) if is_canonical(plane, rep + (x,), group)]
+    return [rep + (x,) for x in canonical_children(plane, rep, iter_bits(above), group)]
 
 
 def _classify_job(i: int, key, group: str, reps) -> list:
@@ -183,10 +186,13 @@ def load_level(directory, q: int, group: str, size: int) -> ClassificationLevel 
 def classify(config: SearchConfig, plane: Plane | None = None) -> list[ClassificationLevel]:
     """Exact class representatives of arcs for sizes 4..threshold.
 
-    Orderly generation (module docstring), with max_level_classes checked
-    after each parent.  The threshold is clamped to the largest nonempty
-    level.  With a checkpoint directory, completed levels are written out
-    and a rerun resumes after the last complete one.
+    Orderly generation (module docstring).  max_level_classes is checked
+    after each parent on one worker; with worker_count > 1 it is checked
+    only after every worker's chunk of parents has returned, so a level
+    over the budget is computed in full before it raises.  The threshold
+    is clamped to the largest nonempty level.  With a checkpoint
+    directory, completed levels are written out and a rerun resumes
+    after the last complete one.
     """
     plane = plane if plane is not None else default_plane(config.q)
     group, budget = config.group, config.max_level_classes

@@ -12,13 +12,15 @@ frame matrix per quadruple, are the slow reference for the log-domain
 frame sweep of pgarc.collineation.  Classification by canonicalizing
 every child of every representative and deduplicating in a set is the
 slow reference for the orderly (canonical-parent) classification of
-pgarc.search, canonicalizing every codimension-1 sub-arc of a child and
-taking the least class index is the slow reference for the least-image
-ownership test of its extension, and canonicalizing every smallest
-complete arc the extension reports is the slow reference for its orbit
-peeling.  The validated collineation constructor, the cross product and
-the conventional canonical forms of 1 to 3 points serve only the tests,
-so they live here too.
+pgarc.search, one early-exit least-image sweep per child (is_canonical)
+is the slow reference for the parent-amortized test
+collineation.canonical_children, canonicalizing every codimension-1
+sub-arc of a child and taking the least class index is the slow
+reference for the least-image ownership test of its extension, and
+canonicalizing every smallest complete arc the extension reports is the
+slow reference for its orbit peeling.  The validated collineation
+constructor, the cross product and the conventional canonical forms of
+1 to 3 points serve only the tests, so they live here too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pgarc.collineation import (
     PointSetCanonicalForm,
     SingularMatrixError,
     _adjugate,
+    _arc_points,
     _check_group,
     _matmul,
     _normalize_matrix,
@@ -45,6 +48,7 @@ from pgarc.collineation import (
     compose,
     element_order,
     frame_map,
+    has_image_below,
     standard_frame,
 )
 from pgarc.search import SearchConfig, _run_extension, classify, lower_bound
@@ -475,6 +479,14 @@ def sweep_stabilizer(plane, points, group: str = PGL):
                 elements.append(Collineation(m, f))
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
+
+
+def is_canonical(plane, points, group: str = PGL) -> bool:
+    """canonicalize(...).canon == sorted(points) by one early-exit sweep of
+    the arc: it starts with the standard frame and has no image below
+    itself.  Raises as canonicalize."""
+    pts = _arc_points(plane, points, group)
+    return tuple(pts[:4]) == standard_frame(plane) and not has_image_below(plane, pts, pts, group)
 
 
 def _children_of(plane, group: str, rep: tuple[int, ...]) -> set:

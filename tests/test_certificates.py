@@ -145,6 +145,53 @@ def test_parse_rejects_malformed():
         parse_certificate(json.dumps(good))
 
 
+def _set_point_coordinate(data, value):
+    data["points"][3][1] = value
+
+
+def _set_point_as_strings(data, value):
+    data["points"][3] = [str(c) for c in data["points"][3]]
+
+
+def _set_field(key):
+    def edit(data, value):
+        data["field"][key] = value
+    return edit
+
+
+def _set_modulus_entry(data, value):
+    data["field"]["modulus"][0] = value
+
+
+def _set_stabilizer_order(data, value):
+    data["claims"]["stabilizer_order"] = value
+
+
+@pytest.mark.parametrize("edit, value", [
+    (_set_point_coordinate, 11.7),
+    (_set_point_coordinate, 11.0),
+    (_set_point_coordinate, True),
+    (_set_point_as_strings, None),
+    (_set_field("p"), 31.9),
+    (_set_field("p"), "31"),
+    (_set_field("h"), 1.0),
+    (_set_modulus_entry, "28"),
+    (_set_modulus_entry, 28.0),
+    (_set_stabilizer_order, True),
+    (_set_stabilizer_order, 3.0),
+], ids=["coordinate-float", "coordinate-integral-float", "coordinate-bool",
+        "coordinates-strings", "p-float", "p-string", "h-float",
+        "modulus-string", "modulus-float", "stabilizer-order-bool", "stabilizer-order-float"])
+def test_parse_requires_json_integers(edit, value):
+    """Field spec, modulus, coordinates and stabilizer order must be JSON
+    integers: anything else is refused, never coerced into a VALID
+    verdict."""
+    data = json.loads(fixture_text("arc14_q31_s3"))
+    edit(data, value)
+    with pytest.raises(MalformedCertificateError, match="JSON integer"):
+        parse_certificate(json.dumps(data))
+
+
 def test_verify_rejects_out_of_field_codes():
     cert = load_fixture("arc14_q31_s3")
     cert.points[5] = (1, 31, 2)
@@ -264,6 +311,10 @@ def test_cli_verify_invalid_certificate(tmp_path):
 def test_cli_verify_malformed_input(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
+    assert run_cli("verify", str(path)).returncode == 2
+    data = json.loads(fixture_text("arc14_q31_s3"))
+    data["points"][3][1] = 11.7
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(path)).returncode == 2
     assert run_cli("frobnicate").returncode == 2  # argparse usage error
 

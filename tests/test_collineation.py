@@ -12,6 +12,7 @@ from pgarc.collineation import (
     PGAMMAL,
     PGL,
     apply,
+    canonical_children,
     canonicalize,
     compose,
     element_order,
@@ -21,12 +22,11 @@ from pgarc.collineation import (
     group_order,
     has_image_below,
     inverse,
-    is_canonical,
     stabilizer,
     standard_frame,
 )
 import oracles
-from oracles import all_pgl_matrices_q2, collineation, group_closure, mask_image
+from oracles import all_pgl_matrices_q2, collineation, group_closure, is_canonical, mask_image
 from support import classification, get_field, get_plane
 
 
@@ -172,15 +172,16 @@ def test_any_4_arc_canonicalizes_to_standard_frame():
 
 def test_canonicalize_small_sets_and_empty():
     """Fewer than 4 points hold no frame: canonicalize, frame_images,
-    is_canonical and has_image_below refuse them, and the empty set keeps
-    its own error.  The conventional frame prefixes live on in the
-    oracle."""
+    is_canonical, has_image_below and canonical_children refuse them, and
+    the empty set keeps its own error.  The conventional frame prefixes
+    live on in the oracle."""
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
     frame = standard_frame(pl)
     for check in (canonicalize, frame_images, is_canonical,
-                  lambda pl, pts: has_image_below(pl, pts, frame)):
+                  lambda pl, pts: has_image_below(pl, pts, frame),
+                  lambda pl, pts: canonical_children(pl, pts, [])):
         with pytest.raises(EmptySetError):
             check(pl, [])
         for pts in ([0], [17], [0, 1], [17, 30], [0, 1, 6], [17, 30, 4], [17, 17, 30, 30]):
@@ -292,6 +293,8 @@ def test_canonicalize_rejects_non_arcs(q, group):
     for bad in (five, line):
         with pytest.raises(DegenerateSetError):
             is_canonical(pl, bad, group)
+        with pytest.raises(DegenerateSetError):
+            canonical_children(pl, bad, [], group)
 
 
 def test_is_canonical_agrees_with_canonicalize():
@@ -342,6 +345,74 @@ def test_has_image_below_compares_with_the_canonical_form():
                     assert has_image_below(pl, arc, target, group) == (canon < target)
     with pytest.raises(DegenerateSetError, match="standard frame"):
         has_image_below(pl, arc, sorted(arc)[1:], group)
+
+
+def _children_above(pl, rep):
+    from pgarc.arcs import candidate_mask, iter_bits
+
+    return [x for x in iter_bits(candidate_mask(pl, rep)) if x > rep[-1]]
+
+
+def _check_canonical_children(pl, group, parents):
+    """canonical_children against the is_canonical oracle on every child
+    above each parent's last point; returns how many of those children a
+    nontrivial element of the parent's stabilizer maps below themselves
+    (the y < x test of the frames inside the parent that fix it)."""
+    stab_rejected = 0
+    for rep in parents:
+        above = _children_above(pl, rep)
+        want = [x for x in above if is_canonical(pl, rep + (x,), group)]
+        assert canonical_children(pl, rep, above, group) == want, (pl.q, group, rep)
+        elements, _ = stabilizer(pl, rep, group)
+        stab_rejected += sum(1 for x in above if min(apply(pl, g, x) for g in elements) < x)
+    return stab_rejected
+
+
+@pytest.mark.parametrize("q, group, threshold", [
+    (7, PGL, 9), (9, PGL, 11), (11, PGL, 13), (13, PGL, 7),
+    (8, PGAMMAL, 10), (9, PGAMMAL, 11), (16, PGAMMAL, 6),
+])
+def test_canonical_children_matches_is_canonical(q, group, threshold):
+    """The parent-amortized test against one early-exit sweep per child,
+    on every child above the last point of every representative."""
+    pl = get_plane(q)
+    parents = [rep for lv in classification(q, group, threshold) for rep in lv.representatives]
+    assert _check_canonical_children(pl, group, parents) > 0
+
+
+@pytest.mark.parametrize("q, group", [(31, PGL), (32, PGAMMAL)])
+def test_canonical_children_matches_is_canonical_at_full_order(q, group):
+    """The same at q = 31 and q = 32 on seeded samples of the level-5 and
+    level-6 parents, each sample led by a parent with a nontrivial
+    stabilizer, so the frames of Stab(R) reject children by y < x."""
+    pl = get_plane(q)
+    rng = random.Random(f"canonical_children:{q}:{group}")
+    parents = []
+    for lv in classification(q, group, 6)[1:]:
+        reps = lv.representatives
+        parents.append(next(r for r in reps if stabilizer(pl, r, group)[1].order > 1))
+        parents += rng.sample(reps, 2)
+    assert _check_canonical_children(pl, group, parents) > 0
+
+
+def test_canonical_children_refuses_what_it_cannot_test():
+    """A parent that is not its own least image, with or without the
+    frame as its head, has no canonical child, as the oracle agrees; a
+    candidate that is not above the parent or lies on a secant of it is
+    refused."""
+    pl = get_plane(11)
+    frame = standard_frame(pl)
+    c = next(x for x in _children_above(pl, frame) if not is_canonical(pl, frame + (x,), PGL))
+    for parent in (frame + (c,), (frame[0], *frame[2:], c)):
+        above = _children_above(pl, parent)
+        assert not any(is_canonical(pl, parent + (x,), PGL) for x in above)
+        assert canonical_children(pl, parent, above, PGL) == []
+    rep = classification(11, PGL, 5)[1].representatives[0]
+    with pytest.raises(ValueError, match="not above"):
+        canonical_children(pl, rep, [rep[-1] - 1], PGL)
+    on_secant = next(x for x in range(rep[-1] + 1, pl.size) if pl.secant_mask(rep) >> x & 1)
+    with pytest.raises(DegenerateSetError, match="secant"):
+        canonical_children(pl, rep, [on_secant], PGL)
 
 
 def test_log_domain_sweep_matches_ordered_quadruple_sweep():

@@ -266,11 +266,12 @@ def test_memory_budget(tmp_path):
 @pytest.mark.parametrize(
     "q, group, threshold",
     [(5, PGL, 7), (7, PGL, 9), (9, PGL, 11), (11, PGL, 13),
-     (8, PGAMMAL, 10), (9, PGAMMAL, 11), (13, PGL, 7)],
+     (8, PGAMMAL, 10), (9, PGAMMAL, 11), (13, PGL, 7), (16, PGAMMAL, 6)],
 )
 def test_classify_matches_set_based_oracle(q, group, threshold):
     """Orderly classification against canonicalizing every child and
-    deduplicating in a set, at every size (q = 13: up to size 7)."""
+    deduplicating in a set, at every size (q = 13: up to size 7; q = 16,
+    whose Frobenius orbits are longer than those of 8 and 9: up to size 6)."""
     from oracles import set_classify
 
     levels = classification(q, group, threshold)
