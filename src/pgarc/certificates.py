@@ -171,8 +171,10 @@ def _claims(plane: Plane, group: str, ids) -> tuple[dict, dict]:
     return claims, witnesses
 
 
-def verify(cert: ArcCertificate) -> VerifyReport:
-    """Recompute every claim from scratch and compare."""
+def certificate_plane(cert: ArcCertificate) -> tuple[Plane, list[int]]:
+    """The plane of a certificate's field and the sorted ids of its points.
+    A bad field spec, codes outside the field, the zero triple and points
+    equal after normalization raise."""
     try:
         field = build_field(cert.p, cert.h, list(cert.modulus))
     except FieldError as exc:
@@ -187,7 +189,12 @@ def verify(cert: ArcCertificate) -> VerifyReport:
     ids = sorted(plane.point_id(pt) for pt in cert.points)
     if len(set(ids)) != len(ids):
         raise MalformedCertificateError("points are not distinct after normalization")
+    return plane, ids
 
+
+def verify(cert: ArcCertificate) -> VerifyReport:
+    """Recompute every claim from scratch and compare."""
+    plane, ids = certificate_plane(cert)
     computed, witnesses = _claims(plane, cert.group, ids)
     failures = [
         {"claim": key, "claimed": cert.claims[key], "computed": computed[key],

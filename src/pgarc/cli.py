@@ -139,17 +139,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stabilizer(args) -> int:
     cert = _load_certificate(args.certificate)
-    try:
-        field = certificates.build_field(cert.p, cert.h, list(cert.modulus))
-    except FieldError as exc:
-        raise certificates.MalformedCertificateError(str(exc))
-    plane = certificates.build_plane(field)
-    ids = [plane.point_id(pt) for pt in cert.points]
+    plane, ids = certificates.certificate_plane(cert)
     elements, structure = stabilizer(plane, ids, cert.group)
     print(f"order: {structure.order}")
     print(f"name: {structure.name}")
     print("generators:")
-    for g in generating_subset(field, elements):
+    for g in generating_subset(plane.field, elements):
         rows = [list(g.matrix[0:3]), list(g.matrix[3:6]), list(g.matrix[6:9])]
         print(json.dumps({"matrix": rows, "frob": g.frob}))
     return EXIT_OK

@@ -237,8 +237,7 @@ def _frame_sweep(plane: Plane, pts, group: str, known=None):
     log = field.log
     mt = field.mul_flat
     at = field.add_flat
-    lt = plane.line_through_flat
-    n = plane.size
+    rows = plane.line_rows
     k = len(pts)
     for f in range(field.h) if group == PGAMMAL else range(1):
         perm = plane.frob_point_perms[f]
@@ -247,7 +246,7 @@ def _frame_sweep(plane: Plane, pts, group: str, known=None):
         side = [] if known is None else list(known[f])
         for b in range(0 if known is None else k - 1, k):
             for a in range(b):
-                l0, l1, l2 = plane.lines[lt[src[a] * n + src[b]]]
+                l0, l1, l2 = plane.lines[rows[src[a]][src[b]]]
                 side.append([
                     log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
                     for x0, x1, x2 in coords
@@ -401,7 +400,6 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     q, m = field.q, field.q - 1
     log, mt, at = field.log, field.mul_flat, field.add_flat
     row, exp = plane.affine_row, field.exp
-    lt, n = plane.line_through_flat, plane.size
     head = pts[3:]
     tables, entries = {}, []
     for f, _, _, r1, r2, _, side, w in _frame_sweep(plane, pts, group):
@@ -420,7 +418,7 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     lines = []  # per Frobenius power, the side lines in side-table order
     for f in sorted(tables):
         src = [plane.frob_point_perms[f][i] for i in pts]
-        lines.append([plane.lines[lt[src[a] * n + src[b]]]
+        lines.append([plane.lines[plane.line_rows[src[a]][src[b]]]
                       for b in range(len(src)) for a in range(b)])
 
     def below(x: int) -> bool:

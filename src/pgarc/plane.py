@@ -5,7 +5,9 @@ nonzero coordinate scaled to 1) indexed by their rank in lexicographic
 order of the coordinate codes.  The same normalized triples serve as line
 coefficient vectors, so points and lines share one indexing.  All tables
 are precomputed densely and immutable after construction: the point list,
-per-line point lists and bitmasks, and the full pair -> line lookup.
+per-line point lists and bitmasks, and the pair -> line lookup as one row
+per point.  Each line's points are solved from its equation and row a is
+filled from the lines through a: O(q^3) lookups, no dot product.
 """
 
 from __future__ import annotations
@@ -28,9 +30,16 @@ class DuplicatePointsError(ValueError):
     """Collinearity tests and secant masks need pairwise distinct points."""
 
 
-def _sorted_distinct(ids) -> list[int]:
-    """The ids sorted; a repeat, found as two equal neighbours, raises."""
+class PointRangeError(ValueError):
+    """A point id outside [0, n) or a coordinate code outside GF(q)."""
+
+
+def _sorted_distinct(ids, n: int) -> list[int]:
+    """The ids sorted; a repeat, found as two equal neighbours, or an id
+    outside [0, n), found at either end, raises."""
     pts = sorted(ids)
+    if pts and (pts[0] < 0 or pts[-1] >= n):
+        raise PointRangeError(f"point ids {pts} are not all in [0, {n})")
     for a, b in zip(pts, pts[1:]):
         if a == b:
             raise DuplicatePointsError(f"point {a} is repeated in {pts}")
@@ -40,10 +49,8 @@ def _sorted_distinct(ids) -> list[int]:
 class Plane:
     def __init__(self, field: FieldTable):
         self.field = field
-        q = field.q
-        self.q = q
-        self.size = q * q + q + 1
-        n = self.size
+        self.q = q = field.q
+        self.size = n = q * q + q + 1
 
         # Lexicographic enumeration of the normalized triples.
         points: list[tuple[int, int, int]] = [(0, 0, 1)]
@@ -55,48 +62,46 @@ class Plane:
         # (1, exp[a], exp[b]) has index affine_row[a] + exp[b]
         self.affine_row = [q + 1 + q * e for e in field.exp]
 
-        mt = field.mul_flat
-        at = field.add_flat
-        on_line: list[list[int]] = [[] for _ in range(n)]
-        # incidence dot(a, x) is symmetric in (a, x): scan ordered pairs once
-        for li in range(n):
-            a0, a1, a2 = points[li]
-            for pi in range(li, n):
-                x0, x1, x2 = points[pi]
-                d = at[at[mt[a0 * q + x0] * q + mt[a1 * q + x1]] * q + mt[a2 * q + x2]]
-                if d == 0:
-                    on_line[li].append(pi)
-                    if pi != li:
-                        on_line[pi].append(li)
-        self.points_on_line = [tuple(sorted(pts)) for pts in on_line]
+        # solve l.x = 0 for each line l; each case lists its ids ascending
+        mt, at, neg, inv = field.mul_flat, field.add_flat, field.neg_list, field.inv_list
+        on_line: list[tuple[int, ...]] = []
+        for l0, l1, l2 in points:
+            if l2:  # (0, 1, c1) and (1, a, c0 + c1 a) with ci = -li/l2
+                s = neg[inv[l2]]
+                c0, c1 = mt[l0 * q + s], mt[l1 * q + s]
+                on_line.append((1 + c1, *[q + 1 + q * a + at[c0 * q + mt[c1 * q + a]] for a in range(q)]))
+            elif l1:  # (0, 0, 1) and (1, -l0/l1, b)
+                start = q + 1 + q * mt[neg[l0] * q + inv[l1]]
+                on_line.append((0, *range(start, start + q)))
+            else:  # the line x0 = 0
+                on_line.append(tuple(range(q + 1)))
+        self.points_on_line = on_line
+        self.line_masks = [sum(1 << i for i in pts) for pts in on_line]
 
-        masks = []
-        line_through = [-1] * (n * n)
-        for li, pts in enumerate(self.points_on_line):
-            m = 0
-            for pi in pts:
-                m |= 1 << pi
-            masks.append(m)
-            for i in pts:
-                base = i * n
-                for j in pts:
-                    if i != j:
-                        line_through[base + j] = li
-        self.line_masks = masks
-        self.line_through_flat = line_through
+        # incidence is symmetric, so the lines through point a are the
+        # points of line a; row a maps each other point to its line with a
+        rows: list[list[int]] = []
+        for a, through in enumerate(on_line):
+            row = [-1] * n
+            for li in through:
+                for j in on_line[li]:
+                    row[j] = li
+            row[a] = -1
+            rows.append(row)
+        self.line_rows = rows
         self.all_points_mask = (1 << n) - 1
 
-        self.frob_point_perms = []
-        for i in range(field.h):
-            ft = field.frob_tables[i]
-            self.frob_point_perms.append(
-                [self.point_index[(ft[x0], ft[x1], ft[x2])] for x0, x1, x2 in points]
-            )
+        self.frob_point_perms = [
+            [self.point_index[(ft[x0], ft[x1], ft[x2])] for x0, x1, x2 in points]
+            for ft in field.frob_tables
+        ]
 
     def normalize(self, triple) -> tuple[int, int, int]:
         """Scale a nonzero homogeneous triple so its first nonzero entry is 1."""
         x0, x1, x2 = triple
         f = self.field
+        if not (0 <= x0 < f.q and 0 <= x1 < f.q and 0 <= x2 < f.q):
+            raise PointRangeError(f"{list(triple)} has codes outside GF({f.q})")
         if x0:
             if x0 != 1:
                 s = f.inv_list[x0]
@@ -118,25 +123,21 @@ class Plane:
         """Index of the unique line through two distinct points."""
         if p1 == p2:
             raise SamePointError(f"line_through needs distinct points, got {p1} twice")
-        return self.line_through_flat[p1 * self.size + p2]
+        a, b = _sorted_distinct((p1, p2), self.size)
+        return self.line_rows[a][b]
 
     def collinear(self, p1: int, p2: int, p3: int) -> bool:
-        if p1 == p2 or p1 == p3 or p2 == p3:
-            raise DuplicatePointsError(f"points must be distinct: {p1}, {p2}, {p3}")
-        li = self.line_through_flat[p1 * self.size + p2]
-        return (self.line_masks[li] >> p3) & 1 == 1
+        return self.collinear_triple((p1, p2, p3)) is not None
 
     def collinear_triple(self, point_ids) -> tuple[int, int, int] | None:
         """First collinear triple (in sorted index order) of a set of
         pairwise distinct points, or None."""
-        pts = _sorted_distinct(point_ids)
-        n = self.size
-        lt = self.line_through_flat
+        pts = _sorted_distinct(point_ids, self.size)
         masks = self.line_masks
         for i in range(len(pts)):
             a = pts[i]
             for j in range(i + 1, len(pts)):
-                m = masks[lt[a * n + pts[j]]]
+                m = masks[self.line_rows[a][pts[j]]]
                 for k in range(j + 1, len(pts)):
                     if (m >> pts[k]) & 1:
                         return (a, pts[j], pts[k])
@@ -145,15 +146,13 @@ class Plane:
     def secant_mask(self, ids) -> int:
         """Bitmask of the points on some line through 2 of the points ids,
         which must be pairwise distinct."""
-        n = self.size
-        lt = self.line_through_flat
-        lm = self.line_masks
-        pts = _sorted_distinct(ids)
+        lm, rows = self.line_masks, self.line_rows
+        pts = _sorted_distinct(ids, self.size)
         u = 0
         for i, a in enumerate(pts):
-            base = a * n
+            row = rows[a]
             for b in pts[i + 1 :]:
-                u |= lm[lt[base + b]]
+                u |= lm[row[b]]
         return u
 
     def __repr__(self):

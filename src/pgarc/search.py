@@ -276,8 +276,7 @@ def extend(
     if size0 > bound:
         return []
     results: list[tuple[int, ...]] = []
-    n = plane.size
-    lt = plane.line_through_flat
+    rows = plane.line_rows
     lm = plane.line_masks
 
     cand0 = candidate_mask(plane, root)
@@ -304,9 +303,9 @@ def extend(
         if size == bound:
             return
         for x in iter_bits(cand >> (last + 1) << (last + 1)):
-            ncand = cand & root_block[x]
+            ncand, row = cand & root_block[x], rows[x]
             for m in added:
-                ncand &= ~lm[lt[m * n + x]]
+                ncand &= ~lm[row[m]]
             added.append(x)
             descend(ncand, x, size + 1)
             added.pop()

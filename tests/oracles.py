@@ -16,11 +16,13 @@ pgarc.search, one early-exit least-image sweep per child (is_canonical)
 is the slow reference for the parent-amortized test
 collineation.canonical_children, canonicalizing every codimension-1
 sub-arc of a child and taking the least class index is the slow
-reference for the least-image ownership test of its extension, and
+reference for the least-image ownership test of its extension,
 canonicalizing every smallest complete arc the extension reports is the
-slow reference for its orbit peeling.  The validated collineation
-constructor, the cross product and the conventional canonical forms of
-1 to 3 points serve only the tests, so they live here too.
+slow reference for its orbit peeling, and a dot product for every
+point-line pair is the slow reference for the plane's incidence
+tables.  The validated collineation constructor, the cross product and
+the conventional canonical forms of 1 to 3 points serve only the tests,
+so they live here too.
 """
 
 from __future__ import annotations
@@ -104,6 +106,45 @@ def recount_coverage(plane, members) -> list[int]:
             if x in (a, b) or det_collinear(plane, a, b, x):
                 cov[x] += 1
     return cov
+
+
+def incidence_scan(field) -> dict:
+    """The plane tables the slow way: every point-line pair tested by a
+    dot product, each line's points sorted, a flat n x n pair table
+    filled line by line (-1 on the diagonal), and the Frobenius point
+    maps looked up by triple.  Slow reference for pgarc.plane.Plane."""
+    q = field.q
+    n = q * q + q + 1
+    mt, at = field.mul_flat, field.add_flat
+    points = [(0, 0, 1)]
+    points.extend((0, 1, b) for b in range(q))
+    points.extend((1, a, b) for a in range(q) for b in range(q))
+    index = {t: i for i, t in enumerate(points)}
+    on_line: list[list[int]] = [[] for _ in range(n)]
+    # incidence dot(a, x) is symmetric in (a, x): scan ordered pairs once
+    for li in range(n):
+        a0, a1, a2 = points[li]
+        for pi in range(li, n):
+            x0, x1, x2 = points[pi]
+            if at[at[mt[a0 * q + x0] * q + mt[a1 * q + x1]] * q + mt[a2 * q + x2]] == 0:
+                on_line[li].append(pi)
+                if pi != li:
+                    on_line[pi].append(li)
+    points_on_line = [tuple(sorted(pts)) for pts in on_line]
+    masks = []
+    pair = [-1] * (n * n)
+    for li, pts in enumerate(points_on_line):
+        masks.append(sum(1 << i for i in pts))
+        for i in pts:
+            for j in pts:
+                if i != j:
+                    pair[i * n + j] = li
+    frob = [
+        [index[(ft[x0], ft[x1], ft[x2])] for x0, x1, x2 in points]
+        for ft in field.frob_tables
+    ]
+    return {"points_on_line": points_on_line, "line_masks": masks,
+            "pair_line": pair, "frob_point_perms": frob}
 
 
 def pair_line_masks(plane) -> list[int]:

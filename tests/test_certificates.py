@@ -330,6 +330,27 @@ def test_cli_stabilizer(tmp_path):
     assert gens and all(g["frob"] == 0 for g in gens)
 
 
+@pytest.mark.parametrize("case", ["code-outside-field", "repeated-point"])
+def test_cli_stabilizer_rejects_what_verify_rejects(tmp_path, case):
+    """Both commands check the certificate's points the same way: (0, 0, 40)
+    once normalized to point 0 of PG(2,31) under stabilizer, and a repeated
+    point was taken twice."""
+    data = json.loads(fixture_text("arc14_q31_s3"))
+    if case == "code-outside-field":
+        k = data["points"].index([0, 0, 1])
+        data["points"][k] = [0, 0, 40]
+        message = "codes outside GF(31)"
+    else:
+        data["points"].append(data["points"][5])
+        message = "not distinct"
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("verify", "stabilizer"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2, (command, proc.stdout)
+        assert message in proc.stderr, (command, proc.stderr)
+
+
 def test_cli_classify_counts():
     proc = run_cli("classify", "--q", "5", "--threshold", "6")
     assert proc.returncode == 0

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from pgarc.plane import (
     CapacityExceededError,
     DuplicatePointsError,
+    PointRangeError,
     SamePointError,
     build_plane,
 )
-from oracles import cross, det3, random_arc, recount_coverage
+from pgarc.certificates import degree5_primitive_moduli
+from pgarc.gf import build_field
+from oracles import cross, det3, incidence_scan, random_arc, recount_coverage
 from support import get_field, get_plane
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -196,7 +199,7 @@ def test_secant_mask_matches_determinant(q):
 
 
 def test_repeated_ids_rejected():
-    """A repeated id would read line_through_flat[a * n + a] == -1 and so
+    """A repeated id would read line_rows[a][a] == -1 and so
     the last line of the plane; it raises, naming the repeated point."""
     pl = get_plane(5)
     last = pl.points_on_line[-1]
@@ -209,3 +212,53 @@ def test_repeated_ids_rejected():
             pl.collinear_triple([3, 3, x])
     assert pl.secant_mask([3]) == 0
     assert pl.collinear_triple([3, last[0]]) is None
+
+
+def _assert_tables_match_scan(pl):
+    want = incidence_scan(pl.field)
+    assert pl.points_on_line == want["points_on_line"]
+    assert pl.line_masks == want["line_masks"]
+    assert [li for row in pl.line_rows for li in row] == want["pair_line"]
+    assert pl.frob_point_perms == want["frob_point_perms"]
+
+
+@pytest.mark.parametrize("q", SMALL_Q + [16, 31, 32])
+def test_tables_match_incidence_scan(q):
+    _assert_tables_match_scan(get_plane(q))
+
+
+@pytest.mark.parametrize("modulus", degree5_primitive_moduli())
+def test_tables_match_incidence_scan_every_gf32_modulus(modulus):
+    """The certificate sweep builds PG(2,32) over each of these."""
+    _assert_tables_match_scan(build_plane(build_field(2, 5, list(modulus))))
+
+
+def test_point_ids_out_of_range_rejected():
+    """A flat pair table read id n as the next row's id 0, and a negative
+    id as a row from the end; every entry point raises instead."""
+    pl = get_plane(5)
+    n = pl.size
+    for a, b in ((0, n), (-1, 5), (n, 0)):
+        with pytest.raises(PointRangeError):
+            pl.line_through(a, b)
+    with pytest.raises(PointRangeError):
+        pl.collinear(0, 1, n)
+    with pytest.raises(PointRangeError):
+        pl.collinear(-3, 1, 2)
+    for ids in ([3, n + 2], [-2, 0, 1], [n]):
+        with pytest.raises(PointRangeError):
+            pl.secant_mask(ids)
+        with pytest.raises(PointRangeError):
+            pl.collinear_triple(ids)
+
+
+def test_coordinates_outside_the_field_rejected():
+    """(0, 0, 7) once normalized to point 0 at q = 5, (1, 9, 2) raised a
+    bare KeyError and (0, 5, 1) a bare IndexError."""
+    pl = get_plane(5)
+    for triple in ((0, 0, 7), (1, 9, 2), (0, 5, 1), (1, -1, 0), (5, 0, 0)):
+        with pytest.raises(PointRangeError, match="outside GF\\(5\\)"):
+            pl.point_id(triple)
+        with pytest.raises(PointRangeError):
+            pl.normalize(triple)
+    assert pl.point_id((0, 0, 4)) == 0
