@@ -18,7 +18,7 @@ from . import certificates, search
 from .collineation import GROUPS, PGAMMAL, PGL, generating_subset, stabilizer
 from .gf import FieldError, factor_prime_power
 from .plane import CapacityExceededError
-from .search import MemoryBudgetExceededError, SearchConfig
+from .search import CheckpointError, MemoryBudgetExceededError, SearchConfig
 
 CHECKPOINT_ENV = "PGARC_CHECKPOINT_DIR"
 
@@ -188,6 +188,9 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
     except (certificates.MalformedCertificateError, certificates.FieldMismatchError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except CheckpointError as exc:
+        print(f"malformed checkpoint: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except (CapacityExceededError, FieldError, MemoryBudgetExceededError) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

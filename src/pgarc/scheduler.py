@@ -7,10 +7,13 @@ shares absorb the rounding.  A work-stealing mode (dynamic dispatch of
 single jobs from a shared queue) is available for workloads whose
 per-job cost decays unpredictably.
 
-Whatever the mode or worker count, results are merged in job-index
-order, so the output of a run is bit-for-bit reproducible.  Job
-functions must be pure in the job index and picklable (module-level
-callables or functools.partial over them).
+The job function is installed once per worker, by the pool initializer;
+a task is only an index range (start, stop): a worker's whole range, or
+one index with stealing.  So a task's size does not grow with the state
+the job function holds.  Whatever the mode or worker count, results come
+back in job-index order, so the output of a run is bit-for-bit
+reproducible.  Job functions must be pure in the job index and
+picklable (module-level callables or functools.partial over them).
 """
 
 from __future__ import annotations
@@ -70,49 +73,26 @@ def equal_proportions(workers: int) -> tuple[int, ...]:
     return tuple(props)
 
 
-def _run_range(args):
-    job_fn, start, stop = args
-    out = []
-    for i in range(start, stop):
-        try:
-            out.append((i, True, job_fn(i)))
-        except Exception as exc:  # propagated to the caller by index order
-            out.append((i, False, exc))
-            break
-    return out
+_job_fn = None  # the job function of this worker process
 
 
-def _run_one(args):
-    job_fn, i = args
-    try:
-        return (i, True, job_fn(i))
-    except Exception as exc:
-        return (i, False, exc)
+def _install(job_fn):
+    global _job_fn
+    _job_fn = job_fn
+
+
+def _run_range(task) -> list:
+    start, stop = task
+    return [_job_fn(i) for i in range(start, stop)]
 
 
 def run_jobs(part: Partition, job_fn, *, stealing: bool = False) -> list:
     """Execute every job index of the partition and return the results in
     index order; the first failure by job index is re-raised."""
     total = part.job_count
-    if total == 0:
-        return []
     active = [(s, e) for s, e in part.ranges if e > s]
-    if len(active) <= 1 and not stealing:
+    if total == 0 or (len(active) <= 1 and not stealing):
         return [job_fn(i) for i in range(total)]
-
-    triples = []
-    with multiprocessing.Pool(processes=len(active)) as pool:
-        if stealing:
-            triples = list(
-                pool.imap_unordered(
-                    _run_one, ((job_fn, i) for i in range(total)), chunksize=1
-                )
-            )
-        else:
-            for chunk in pool.map(_run_range, [(job_fn, s, e) for s, e in active]):
-                triples.extend(chunk)
-    triples.sort(key=lambda t: t[0])
-    for i, ok, value in triples:
-        if not ok:
-            raise value
-    return [value for _, _, value in triples]
+    tasks = [(i, i + 1) for i in range(total)] if stealing else active
+    with multiprocessing.Pool(len(active), _install, (job_fn,)) as pool:
+        return [r for chunk in pool.imap(_run_range, tasks) for r in chunk]

@@ -51,6 +51,10 @@ class MemoryBudgetExceededError(RuntimeError):
     """A classification level outgrew the configured class budget."""
 
 
+class CheckpointError(ValueError):
+    """A level checkpoint does not hold the level the run asks for."""
+
+
 @dataclass
 class SearchConfig:
     """Knobs of a classification + extension run."""
@@ -59,7 +63,7 @@ class SearchConfig:
     group: str = PGL
     classification_threshold: int = 8
     worker_count: int = 1
-    proportions: tuple[int, ...] | None = None
+    proportions: tuple[int, ...] | None = None  # None: equal_proportions
     stealing: bool = False
     checkpoint_dir: str | None = None
     max_level_classes: int | None = None
@@ -72,10 +76,13 @@ class SearchConfig:
                 f"need classification_threshold >= 4, got {self.classification_threshold}"
             )
         factor_prime_power(self.q)  # raises for non prime powers
-        if self.proportions is not None:
-            self.proportions = scheduler.check_proportions(self.proportions)
-            if len(self.proportions) != self.worker_count:
-                raise ValueError("need one proportion per worker")
+        if self.worker_count < 1:
+            raise ValueError(f"need worker_count >= 1, got {self.worker_count}")
+        if self.proportions is None:
+            self.proportions = scheduler.equal_proportions(self.worker_count)
+        self.proportions = scheduler.check_proportions(self.proportions)
+        if len(self.proportions) != self.worker_count:
+            raise ValueError("need one proportion per worker")
 
 
 @dataclass
@@ -118,26 +125,23 @@ def default_field(q: int):
     return build_field(p, h, "auto")
 
 
-# planes by the (p, h, modulus) of their field; forked workers inherit it
-_PLANES: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def default_plane(q: int) -> Plane:
-    return _cached_plane(default_field(q).params)
+    return build_plane(default_field(q))
 
 
-def _cached_plane(params) -> Plane:
-    """The plane over the field with these FieldParams, built on first use."""
-    if params not in _PLANES:
-        _PLANES[params] = build_plane(build_field(params.p, params.ext_degree, params.modulus))
-    return _PLANES[params]
+def _apply_at(fn, reps, i: int):
+    return fn(reps[i])
 
 
-def _plane_key(plane: Plane):
-    """The plane's FieldParams, under which it is cached, so a worker job
-    can name the plane it runs on."""
-    _PLANES.setdefault(plane.field.params, plane)
-    return plane.field.params
+def _map_reps(config: SearchConfig, fn, reps):
+    """fn(rep) for every representative, in order: lazily on one worker,
+    else by scheduler.run_jobs over config.worker_count workers."""
+    if config.worker_count == 1 or len(reps) <= 1:
+        return map(fn, reps)
+    part = scheduler.partition(len(reps), config.proportions)
+    job = functools.partial(_apply_at, fn, tuple(reps))
+    return scheduler.run_jobs(part, job, stealing=config.stealing)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +151,6 @@ def _plane_key(plane: Plane):
 def _canonical_children(plane: Plane, group: str, rep: tuple[int, ...]) -> list:
     above = candidate_mask(plane, rep) >> (rep[-1] + 1) << (rep[-1] + 1)
     return [rep + (x,) for x in canonical_children(plane, rep, iter_bits(above), group)]
-
-
-def _classify_job(i: int, key, group: str, reps) -> list:
-    return _canonical_children(_cached_plane(key), group, reps[i])
 
 
 def _level_filename(q: int, group: str, size: int) -> str:
@@ -169,30 +169,57 @@ def save_level(directory, q: int, group: str, level: ClassificationLevel) -> Pat
     return path
 
 
-def load_level(directory, q: int, group: str, size: int) -> ClassificationLevel | None:
-    path = Path(directory) / _level_filename(q, group, size)
+def _level_line(plane: Plane, size: int, line: str, path) -> tuple[int, ...]:
+    """The arc on one line of a level file: exactly size strictly
+    increasing point ids of the plane, no 3 collinear."""
+    try:
+        rep = tuple(map(int, line.split()))
+    except ValueError:
+        rep = ()
+    if (len(rep) != size or rep[0] < 0 or rep[-1] >= plane.size
+            or any(a >= b for a, b in zip(rep, rep[1:]))
+            or plane.collinear_triple(rep) is not None):
+        raise CheckpointError(f"checkpoint {path}: {line.strip()!r} is not "
+                              f"an arc of {size} increasing ids in [0, {plane.size})")
+    return rep
+
+
+def load_level(directory, plane: Plane, group: str, size: int) -> ClassificationLevel | None:
+    """The level of this size saved for the plane's q, None without a
+    file; CheckpointError unless the file holds the level save_level
+    writes: its header, then count lines that each are a sorted arc."""
+    path = Path(directory) / _level_filename(plane.q, group, size)
     if not path.exists():
         return None
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if (header.get("q"), header.get("group"), header.get("size")) != (q, group, size):
-            raise ValueError(f"checkpoint {path} does not match the requested run")
-        reps = [tuple(map(int, line.split())) for line in fh if line.strip()]
-    if len(reps) != header["count"]:
-        raise ValueError(f"checkpoint {path} is truncated")
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path} has no JSON header: {exc}") from None
+        if not isinstance(header, dict) or (
+                header.get("q"), header.get("group"), header.get("size")) != (plane.q, group, size):
+            raise CheckpointError(f"checkpoint {path} does not match the requested run")
+        reps = [_level_line(plane, size, line, path) for line in fh if line.strip()]
+    if len(reps) != header.get("count"):
+        raise CheckpointError(f"checkpoint {path} holds {len(reps)} classes, "
+                              f"its header says {header.get('count')}")
     return ClassificationLevel(size, reps)
 
 
 def classify(config: SearchConfig, plane: Plane | None = None) -> list[ClassificationLevel]:
     """Exact class representatives of arcs for sizes 4..threshold.
 
-    Orderly generation (module docstring).  max_level_classes is checked
-    after each parent on one worker; with worker_count > 1 it is checked
-    only after every worker's chunk of parents has returned, so a level
-    over the budget is computed in full before it raises.  The threshold
-    is clamped to the largest nonempty level.  With a checkpoint
-    directory, completed levels are written out and a rerun resumes
-    after the last complete one.
+    Orderly generation (module docstring).  With worker_count > 1 the
+    parents of a level are dispatched by scheduler.run_jobs: each worker
+    gets the parent-children function, which holds the caller's plane and
+    the level, once, and its tasks are parent index ranges.
+    max_level_classes is checked after each parent on one worker; with
+    worker_count > 1 it is checked only after every worker's chunk of
+    parents has returned, so a level over the budget is computed in full
+    before it raises.  The threshold is clamped to the largest nonempty
+    level.  With a checkpoint directory, completed levels are written out
+    and a rerun resumes after the last complete one; a checkpoint that
+    does not hold its level raises CheckpointError.
     """
     plane = plane if plane is not None else default_plane(config.q)
     group, budget = config.group, config.max_level_classes
@@ -203,28 +230,19 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
     frame = standard_frame(plane)
     levels = [ClassificationLevel(4, [frame])]  # its own least image
     if ckdir:
-        loaded = load_level(ckdir, config.q, group, 4)
-        if loaded is None:
-            save_level(ckdir, config.q, group, levels[0])
+        if load_level(ckdir, plane, group, 4) is None:
+            save_level(ckdir, plane.q, group, levels[0])
 
     for size in range(5, config.classification_threshold + 1):
         if ckdir:
-            loaded = load_level(ckdir, config.q, group, size)
+            loaded = load_level(ckdir, plane, group, size)
             if loaded is not None:
                 if not loaded.representatives:
                     break
                 levels.append(loaded)
                 continue
-        prev = levels[-1].representatives
-        if config.worker_count > 1 and len(prev) > 1:
-            props = config.proportions or scheduler.equal_proportions(config.worker_count)
-            part = scheduler.partition(len(prev), props)
-            job = functools.partial(
-                _classify_job, key=_plane_key(plane), group=group, reps=tuple(prev)
-            )
-            chunks = scheduler.run_jobs(part, job, stealing=config.stealing)
-        else:
-            chunks = (_canonical_children(plane, group, rep) for rep in prev)
+        children = functools.partial(_canonical_children, plane, group)
+        chunks = _map_reps(config, children, levels[-1].representatives)
         reps: list = []
         for chunk in chunks:  # in parent order, so the level comes out sorted
             reps += chunk
@@ -233,7 +251,7 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
                                                 f"classes, over the budget of {budget}")
         level = ClassificationLevel(size, reps)
         if ckdir:
-            save_level(ckdir, config.q, group, level)
+            save_level(ckdir, plane.q, group, level)
         if not level.representatives:
             break
         levels.append(level)
@@ -319,33 +337,6 @@ def extend(
     return results
 
 
-def _extend_job(i: int, key, group: str, reps, bound: int, prune: bool) -> list:
-    return extend(_cached_plane(key), group, reps[i], bound, prune)
-
-
-def _run_extension(config: SearchConfig, plane: Plane, reps, bound: int, prune: bool):
-    """Extend every representative; merge results in representative order."""
-    if config.worker_count > 1 and len(reps) > 1:
-        props = config.proportions or scheduler.equal_proportions(config.worker_count)
-        part = scheduler.partition(len(reps), props)
-        job = functools.partial(
-            _extend_job,
-            key=_plane_key(plane),
-            group=config.group,
-            reps=tuple(reps),
-            bound=bound,
-            prune=prune,
-        )
-        merged: list[tuple[int, ...]] = []
-        for branch in scheduler.run_jobs(part, job, stealing=config.stealing):
-            merged.extend(branch)
-        return merged
-    merged = []
-    for rep in reps:
-        merged.extend(extend(plane, config.group, rep, bound, prune))
-    return merged
-
-
 def _peel_orbits(plane: Plane, group: str, arcs) -> list[tuple[int, ...]]:
     """Sorted canonical forms of the classes of arcs that each contain the
     standard frame, with one frame sweep per class (module docstring)."""
@@ -378,7 +369,8 @@ def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCo
     prune = top.count > 1
     bound = max(lower_bound(config.q), top.size + 1)
     while bound <= config.q + 2:
-        found = _run_extension(config, plane, top.representatives, bound, prune)
+        branch = functools.partial(extend, plane, config.group, bound=bound, prune=prune)
+        found = [a for arcs in _map_reps(config, branch, top.representatives) for a in arcs]
         if found:
             t = min(len(a) for a in found)
             classes = _peel_orbits(plane, config.group, [a for a in found if len(a) == t])

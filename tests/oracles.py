@@ -53,7 +53,7 @@ from pgarc.collineation import (
     has_image_below,
     standard_frame,
 )
-from pgarc.search import SearchConfig, _run_extension, classify, lower_bound
+from pgarc.search import SearchConfig, classify, extend, lower_bound
 
 
 def det3(field, t1, t2, t3) -> int:
@@ -576,7 +576,8 @@ def per_arc_min_complete_size(config: SearchConfig, plane):
             return lv.size, complete
     top = levels[-1]
     for bound in range(max(lower_bound(config.q), top.size + 1), config.q + 3):
-        found = _run_extension(config, plane, top.representatives, bound, top.count > 1)
+        found = [a for rep in top.representatives
+                 for a in extend(plane, config.group, rep, bound, top.count > 1)]
         if found:
             t = min(len(a) for a in found)
             return t, sorted({canonicalize(plane, a, config.group).canon

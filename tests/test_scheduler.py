@@ -1,5 +1,8 @@
 """Static proportional partitioning and deterministic parallel execution."""
 
+import functools
+import multiprocessing.pool
+import pickle
 import random
 
 import pytest
@@ -124,10 +127,48 @@ def test_run_jobs_deterministic_across_worker_counts():
 
 
 def test_run_jobs_propagates_first_error_by_index():
-    with pytest.raises(ValueError, match="job 5 failed"):
-        run_jobs(partition(30, DECAY_SPLIT), _fail_on_some)
-    with pytest.raises(ValueError, match="job 5 failed"):
-        run_jobs(partition(30, (100,)), _fail_on_some)
+    for stealing in (False, True):
+        with pytest.raises(ValueError, match="job 5 failed"):
+            run_jobs(partition(30, DECAY_SPLIT), _fail_on_some, stealing=stealing)
+        with pytest.raises(ValueError, match="job 5 failed"):
+            run_jobs(partition(30, (100,)), _fail_on_some, stealing=stealing)
+
+
+def _level_entry(level, i):
+    return level[i]
+
+
+@pytest.fixture
+def imap_tasks(monkeypatch):
+    """The tasks of every Pool.imap call, which still runs them."""
+    calls = []
+    original = multiprocessing.pool.Pool.imap
+
+    def spy(self, func, iterable, chunksize=1):
+        tasks = list(iterable)
+        calls.append(tasks)
+        return original(self, func, tasks, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+    return calls
+
+
+@pytest.mark.parametrize("stealing", [False, True])
+def test_task_is_an_index_range_whatever_the_level_size(imap_tasks, stealing):
+    """The job function, which holds the level, reaches each worker once;
+    a task is a (start, stop) pair, the same few bytes at 30 parents as at
+    3,000, where the job pickles to tens of kilobytes."""
+    for n in (30, 3000):
+        level = tuple((0, 1, 2, 3, i, i + 7) for i in range(n))
+        job = functools.partial(_level_entry, level)
+        part = partition(n, (50, 50))
+        assert run_jobs(part, job, stealing=stealing) == list(level)
+        tasks = imap_tasks.pop()
+        want = [(i, i + 1) for i in range(n)] if stealing else list(part.ranges)
+        assert tasks == want
+        assert all(type(a) is int and type(b) is int for a, b in tasks)
+        assert max(len(pickle.dumps(t)) for t in tasks) <= 24
+    assert len(pickle.dumps(job)) > 10000
 
 
 def test_equal_proportions_sum():

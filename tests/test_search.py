@@ -10,7 +10,9 @@ from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import PGAMMAL, PGL, canonicalize, standard_frame
 from pgarc.gf import build_field
 from pgarc.plane import build_plane
+from pgarc.scheduler import BadProportionsError, equal_proportions
 from pgarc.search import (
+    CheckpointError,
     ClassificationLevel,
     SearchConfig,
     _owns_child,
@@ -55,6 +57,32 @@ def test_search_config_validation():
         SearchConfig(q=7, classification_threshold=3)
     with pytest.raises(ValueError):
         SearchConfig(q=7, worker_count=2, proportions=(100,))
+
+
+def test_worker_count_validated_and_proportions_resolved(capsys):
+    """A worker count below 1, or one that 100 cannot be split over, is
+    rejected by SearchConfig, so both commands exit 2 before any level
+    is computed; no worker process is started.  Without proportions the
+    config holds the equal split."""
+    from pgarc import cli
+
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="worker_count >= 1"):
+            SearchConfig(q=7, worker_count=bad)
+    with pytest.raises(BadProportionsError):
+        SearchConfig(q=7, worker_count=101)
+    with pytest.raises(BadProportionsError):
+        SearchConfig(q=7, proportions=())
+    for command in ("classify", "find-min"):
+        for workers in ("0", "-2", "101"):
+            capsys.readouterr()
+            rc = cli.main([command, "--q", "7", "--threshold", "7", "--workers", workers])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, ""), (command, workers)
+            assert err.startswith("error: ")
+    assert SearchConfig(q=7).proportions == (100,)
+    assert SearchConfig(q=7, worker_count=3).proportions == equal_proportions(3)
+    assert SearchConfig(q=7, worker_count=2, proportions=[30, 70]).proportions == (30, 70)
 
 
 def test_level4_is_single_frame_class():
@@ -175,7 +203,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert [lv.representatives for lv in reloaded] == [
         lv.representatives for lv in levels
     ]
-    loaded = load_level(tmp_path, 5, PGL, 6)
+    loaded = load_level(tmp_path, get_plane(5), PGL, 6)
     assert loaded.count == levels[-1].count
 
 
@@ -191,14 +219,70 @@ def test_checkpoint_header_mismatch_rejected(tmp_path):
     level = ClassificationLevel(4, [(0, 1, 6, 12)])
     path = save_level(tmp_path, 5, PGL, level)
     path.rename(tmp_path / path.name.replace("q5", "q7"))
-    with pytest.raises(ValueError):
-        load_level(tmp_path, 7, PGL, 4)
+    with pytest.raises(CheckpointError):
+        load_level(tmp_path, get_plane(7), PGL, 4)
     truncated = save_level(tmp_path, 5, PGL, ClassificationLevel(4, [(0, 1, 6, 12)]))
     lines = truncated.read_text().splitlines()
     lines[0] = lines[0].replace('"count": 1', '"count": 2')
     truncated.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        load_level(tmp_path, 5, PGL, 4)
+    with pytest.raises(CheckpointError):
+        load_level(tmp_path, get_plane(5), PGL, 4)
+
+
+def _drop_last_id(lines, plane):
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]
+
+
+def _id_out_of_range(lines, plane):
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + f" {plane.size}"
+
+
+def _ids_not_increasing(lines, plane):
+    ids = lines[-1].split()
+    lines[-1] = " ".join([ids[1], ids[0], *ids[2:]])
+
+
+def _collinear_line(lines, plane):
+    lines[-1] = " ".join(map(str, plane.points_on_line[0][:6]))
+
+
+def _not_an_integer(lines, plane):
+    lines[-1] = lines[-1].replace(" ", " x", 1)
+
+
+def _header_not_json(lines, plane):
+    lines[0] = lines[0][:-1]
+
+
+def _count_mismatch(lines, plane):
+    lines[0] = lines[0].replace(f'"count": {len(lines) - 1}', f'"count": {len(lines)}')
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_last_id, _id_out_of_range, _ids_not_increasing, _collinear_line,
+    _not_an_integer, _header_not_json, _count_mismatch,
+])
+def test_corrupt_checkpoint_rejected(tmp_path, capsys, corrupt):
+    """A level-6 file at q = 7 that does not hold the level: load_level
+    raises CheckpointError, and classify exits 2 with its message before
+    computing level 7.  Before the line checks, a dropped last id gave
+    "size 7: 3 classes" (the right count is 1) and exit 0."""
+    from pgarc import cli
+
+    plane = get_plane(7)
+    classify(SearchConfig(q=7, classification_threshold=6, checkpoint_dir=str(tmp_path)))
+    path = tmp_path / "q7_pgl_level6.txt"
+    lines = path.read_text().splitlines()
+    corrupt(lines, plane)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError):
+        load_level(tmp_path, plane, PGL, 6)
+    capsys.readouterr()
+    rc = cli.main(["classify", "--q", "7", "--threshold", "7", "--checkpoint-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("malformed checkpoint: checkpoint ") and "q7_pgl_level6.txt" in err
+    assert not (tmp_path / "q7_pgl_level7.txt").exists()
 
 
 WORKER_SETUPS = [
