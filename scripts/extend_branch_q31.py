@@ -7,9 +7,8 @@ bound 13 to exhaustion.  The full-scale result says no complete arc of
 size <= 13 exists anywhere; this run checks one branch of that search at
 desk scale and is expected to come back empty.
 
-The extension runs without ownership pruning (extend's prune flag is
-off), so the branch explores every superset of its root and covers
-strictly more than the same branch inside the full pruned sweep.
+The branch explores every superset of its root, as each branch of the
+full sweep does.
 """
 
 import argparse

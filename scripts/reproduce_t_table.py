@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the small-order table of t(2,q) with class counts.
 
-Runs the full pipeline (classification to a low threshold, then pruned
-extension) for every prime power q <= 13 and prints the minimum complete
-arc size with its exact class census, for both groups where they differ.
+Runs the full pipeline (classification to a low threshold, then
+extension and orbit peeling) for every prime power q <= 13 and prints
+the minimum complete arc size with its exact class census, for both
+groups where they differ.
 """
 
 import sys

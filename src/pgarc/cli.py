@@ -28,23 +28,12 @@ EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 
 
-def _parse_proportions(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse proportions {text!r}")
-
-
 def _add_run_flags(sub, threshold_default: int):
     sub.add_argument("--q", type=int, required=True, help="plane order (prime power)")
     sub.add_argument("--group", choices=list(GROUPS), default=PGL)
     sub.add_argument("--threshold", type=int, default=threshold_default,
                      help="classification threshold")
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--proportions", type=_parse_proportions, default=None,
-                     help="per-worker load percentages, e.g. 10,20,30,40")
-    sub.add_argument("--stealing", action="store_true",
-                     help="dynamic job dispatch instead of the static split")
     sub.add_argument("--checkpoint-dir", default=os.environ.get(CHECKPOINT_ENV),
                      help=f"level checkpoint directory (default ${CHECKPOINT_ENV})")
 
@@ -56,8 +45,6 @@ def _make_config(args) -> SearchConfig:
             group=args.group,
             classification_threshold=args.threshold,
             worker_count=args.workers,
-            proportions=args.proportions,
-            stealing=args.stealing,
             checkpoint_dir=args.checkpoint_dir,
         )
     except ValueError as exc:

@@ -13,11 +13,10 @@ Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
-of them, has_image_below stops at the first one below a given arc,
-canonical_children tests the children of a canonical arc against a
-table of its own frames and sweeps only the frames that use the child's
-new point, and stabilizer keeps the maps onto the set itself.  All of
-them run on one kernel, _frame_sweep.  For each
+of them, canonical_children tests the children of a canonical arc
+against a table of its own frames and sweeps only the frames that use
+the child's new point, and stabilizer keeps the maps onto the set
+itself.  All of them run on one kernel, _frame_sweep.  For each
 unordered non-collinear triple T it evaluates the three sides of T at
 every point of the set once; the 6 orderings of T only permute those
 values, and the frame map of (T, D) divides them by their values at D.
@@ -356,21 +355,6 @@ def _image_below(plane: Plane, pts, rest, group: str, known=None) -> bool:
             if sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) < rest:
                 return True
     return False
-
-
-def has_image_below(plane: Plane, points, target, group: str = PGL) -> bool:
-    """Whether some image of an arc sorts below target, a sorted arc that
-    starts with the standard frame; stops at the first such image.
-
-    The least image of an arc holds the frame (canonicalize), so some
-    image is below target exactly when one of frame_images is, and those
-    all share target's first three points.  The arc is checked as in
-    canonicalize.
-    """
-    pts = _arc_points(plane, points, group)
-    if tuple(target[:4]) != standard_frame(plane):
-        raise DegenerateSetError(f"target {tuple(target)} does not start with the standard frame")
-    return _image_below(plane, pts, list(target[3:]), group)
 
 
 def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> list[int]:

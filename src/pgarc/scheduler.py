@@ -1,17 +1,21 @@
-"""Deterministic partitioning of independent jobs across workers.
+"""Deterministic parallel execution of independent jobs.
 
-The default split is static and proportional: worker k gets
-floor(job_count * p_k / 100) jobs from a contiguous index range, and the
-remainder is handed out one each to the last r workers, so the largest
-shares absorb the rounding.  A work-stealing mode (dynamic dispatch of
-single jobs from a shared queue) is available for workloads whose
-per-job cost decays unpredictably.
+Every job index is one task, and the tasks go out in index order to
+whichever worker is free next.  The cost of a parent in the arc search
+falls steeply with its index, so any fixed split of the indices would
+leave a worker idle.
+
+A Partition still describes the run, for the callers that build one:
+it has one contiguous range per worker, with worker k given
+floor(job_count * p_k / 100) jobs and the remainder handed out one each
+to the last r workers.  Only its number of non-empty ranges matters to
+run_jobs: that many worker processes are started, and with at most one
+the jobs run inline.  Which worker runs which index is not fixed.
 
 The job function is installed once per worker, by the pool initializer;
-a task is only an index range (start, stop): a worker's whole range, or
-one index with stealing.  So a task's size does not grow with the state
-the job function holds.  Whatever the mode or worker count, results come
-back in job-index order, so the output of a run is bit-for-bit
+a task is only an index range (i, i + 1), so its size does not grow with
+the state the job function holds.  Results come back in job-index order
+whatever the worker count, so the output of a run is bit-for-bit
 reproducible.  Job functions must be pure in the job index and
 picklable (module-level callables or functools.partial over them).
 """
@@ -88,11 +92,17 @@ def _run_range(task) -> list:
 
 def run_jobs(part: Partition, job_fn, *, stealing: bool = False) -> list:
     """Execute every job index of the partition and return the results in
-    index order; the first failure by job index is re-raised."""
+    index order; the first failure by job index is re-raised.
+
+    One worker per non-empty range of part, each taking the next index
+    when it is free (module docstring); inline with at most one.
+    stealing is accepted for the callers that pass it and changes
+    nothing: every run is dispatched this way.
+    """
     total = part.job_count
-    active = [(s, e) for s, e in part.ranges if e > s]
-    if total == 0 or (len(active) <= 1 and not stealing):
+    workers = sum(e > s for s, e in part.ranges)
+    if workers <= 1:
         return [job_fn(i) for i in range(total)]
-    tasks = [(i, i + 1) for i in range(total)] if stealing else active
-    with multiprocessing.Pool(len(active), _install, (job_fn,)) as pool:
+    tasks = [(i, i + 1) for i in range(total)]
+    with multiprocessing.Pool(workers, _install, (job_fn,)) as pool:
         return [r for chunk in pool.imap(_run_range, tasks) for r in chunk]

@@ -1,4 +1,4 @@
-"""Orderly classification of arcs and pruned backtracking extension.
+"""Orderly classification of arcs and backtracking extension.
 
 The classification lists, size by size, the least image (canonical form)
 of every class of arcs up to a threshold.  Level 4 is the frame; level
@@ -13,13 +13,9 @@ built once.
 Above the threshold a depth-first extension takes over: candidates are
 added in increasing point-index order (each child only considers points
 greater than the last added one, so each superset is enumerated once)
-and a branch is cut at the size bound.  Isomorph rejection at the first
-extension level uses the same least-image test as the classification:
-a child R + (x,) of a representative R is explored only if no other
-codimension-1 sub-arc of it has an image below R.  The level is sorted,
-so R is then the least class among the child's sub-arcs, and a complete
-arc is found under the least class of threshold size it contains: the
-union over all branches remains exhaustive.
+and a branch is cut at the size bound.  Every branch is explored in
+full, so an arc that contains several representatives is reported
+under each of them.
 
 The smallest complete arcs found are sorted into classes by orbit
 peeling, isomorph rejection via recorded objects (Kaski and Ostergard
@@ -40,9 +36,7 @@ from pathlib import Path
 
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
-from .collineation import (
-    GROUPS, PGL, canonical_children, frame_images, has_image_below, standard_frame,
-)
+from .collineation import GROUPS, PGL, canonical_children, frame_images, standard_frame
 from .gf import build_field, factor_prime_power
 from .plane import Plane, build_plane
 
@@ -57,7 +51,13 @@ class CheckpointError(ValueError):
 
 @dataclass
 class SearchConfig:
-    """Knobs of a classification + extension run."""
+    """Knobs of a classification + extension run.
+
+    proportions and stealing no longer shape the dispatch
+    (scheduler.run_jobs): proportions, one positive share per worker
+    summing to 100, only sets how many workers a level starts, one per
+    non-empty share of its parents; stealing is ignored.
+    """
 
     q: int
     group: str = PGL
@@ -212,14 +212,14 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
     Orderly generation (module docstring).  With worker_count > 1 the
     parents of a level are dispatched by scheduler.run_jobs: each worker
     gets the parent-children function, which holds the caller's plane and
-    the level, once, and its tasks are parent index ranges.
-    max_level_classes is checked after each parent on one worker; with
-    worker_count > 1 it is checked only after every worker's chunk of
-    parents has returned, so a level over the budget is computed in full
-    before it raises.  The threshold is clamped to the largest nonempty
-    level.  With a checkpoint directory, completed levels are written out
-    and a rerun resumes after the last complete one; a checkpoint that
-    does not hold its level raises CheckpointError.
+    the level, once, then takes one parent index at a time, in index
+    order, whenever it is free.  max_level_classes is checked after each
+    parent on one worker; with worker_count > 1 it is checked only after
+    every parent has returned, so a level over the budget is computed in
+    full before it raises.  The threshold is clamped to the largest
+    nonempty level.  With a checkpoint directory, completed levels are
+    written out and a rerun resumes after the last complete one; a
+    checkpoint that does not hold its level raises CheckpointError.
     """
     plane = plane if plane is not None else default_plane(config.q)
     group, budget = config.group, config.max_level_classes
@@ -262,32 +262,19 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
 # extension
 
 
-def _owns_child(plane: Plane, group: str, root, x: int) -> bool:
-    """Whether the branch of the sorted canonical arc root explores its
-    child root + (x,): no other codimension-1 sub-arc of the child has an
-    image below root."""
-    return not any(
-        has_image_below(plane, [p for p in root if p != y] + [x], root, group) for y in root
-    )
-
-
 def extend(
     plane: Plane,
     group: str,
     rep: tuple[int, ...],
     bound: int,
-    prune: bool = False,
 ) -> list[tuple[int, ...]]:
     """Depth-first extension of one representative's branch.
 
     Reports every complete arc of size <= bound reachable from rep by
-    adding candidates in increasing index order.  With prune, rep must
-    be a canonical form (a classification representative), and a
-    first-level child is explored only if this branch owns it
-    (_owns_child).  Every complete arc is then found under exactly the
-    least class of rep's size it contains, so nothing is lost.  With a
-    single class at that size every branch owns every child, so
-    min_complete_size leaves prune off.
+    adding candidates in increasing index order.  Nothing is pruned as
+    isomorphic: min_complete_size folds the arcs of all branches into
+    their classes afterwards.  A branch's supersets do not depend on the
+    group, so group is unused.
     """
     root = sorted(rep)
     size0 = len(root)
@@ -328,12 +315,7 @@ def extend(
             descend(ncand, x, size + 1)
             added.pop()
 
-    for x in iter_bits(cand0):
-        if prune and not _owns_child(plane, group, root, x):
-            continue
-        added.append(x)
-        descend(cand0 & root_block[x], x, size0 + 1)
-        added.pop()
+    descend(cand0, -1, size0)
     return results
 
 
@@ -366,10 +348,9 @@ def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCo
             return MinCompleteResult(config.q, config.group, lv.size, len(complete), complete)
 
     top = levels[-1]
-    prune = top.count > 1
     bound = max(lower_bound(config.q), top.size + 1)
     while bound <= config.q + 2:
-        branch = functools.partial(extend, plane, config.group, bound=bound, prune=prune)
+        branch = functools.partial(extend, plane, config.group, bound=bound)
         found = [a for arcs in _map_reps(config, branch, top.representatives) for a in arcs]
         if found:
             t = min(len(a) for a in found)

@@ -14,15 +14,12 @@ every child of every representative and deduplicating in a set is the
 slow reference for the orderly (canonical-parent) classification of
 pgarc.search, one early-exit least-image sweep per child (is_canonical)
 is the slow reference for the parent-amortized test
-collineation.canonical_children, canonicalizing every codimension-1
-sub-arc of a child and taking the least class index is the slow
-reference for the least-image ownership test of its extension,
-canonicalizing every smallest complete arc the extension reports is the
-slow reference for its orbit peeling, and a dot product for every
-point-line pair is the slow reference for the plane's incidence
-tables.  The validated collineation constructor, the cross product and
-the conventional canonical forms of 1 to 3 points serve only the tests,
-so they live here too.
+collineation.canonical_children, canonicalizing every smallest complete
+arc the extension reports is the slow reference for its orbit peeling,
+and a dot product for every point-line pair is the slow reference for
+the plane's incidence tables.  The validated collineation constructor,
+the cross product and the conventional canonical forms of 1 to 3 points
+serve only the tests, so they live here too.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from pgarc.collineation import (
     _adjugate,
     _arc_points,
     _check_group,
+    _image_below,
     _matmul,
     _normalize_matrix,
     apply_matrix,
@@ -50,7 +48,6 @@ from pgarc.collineation import (
     compose,
     element_order,
     frame_map,
-    has_image_below,
     standard_frame,
 )
 from pgarc.search import SearchConfig, classify, extend, lower_bound
@@ -527,7 +524,7 @@ def is_canonical(plane, points, group: str = PGL) -> bool:
     the arc: it starts with the standard frame and has no image below
     itself.  Raises as canonicalize."""
     pts = _arc_points(plane, points, group)
-    return tuple(pts[:4]) == standard_frame(plane) and not has_image_below(plane, pts, pts, group)
+    return tuple(pts[:4]) == standard_frame(plane) and not _image_below(plane, pts, pts[3:], group)
 
 
 def _children_of(plane, group: str, rep: tuple[int, ...]) -> set:
@@ -552,18 +549,6 @@ def set_classify(plane, group: str, threshold: int) -> list[list[tuple[int, ...]
     return levels
 
 
-def class_index_owner(plane, group: str, level_index: dict, child) -> int:
-    """Index of the branch that explores a first-level child under the
-    class-index rule: the least index, in the sorted level, of the
-    canonical forms of the child's codimension-1 sub-arcs.  level_index
-    maps each representative of the level to its index."""
-    child = sorted(child)
-    return min(
-        level_index[canonicalize(plane, child[:i] + child[i + 1:], group).canon]
-        for i in range(len(child))
-    )
-
-
 def per_arc_min_complete_size(config: SearchConfig, plane):
     """(t, sorted class representatives) of the smallest complete arcs,
     by the same classification and extension as search.min_complete_size
@@ -577,7 +562,7 @@ def per_arc_min_complete_size(config: SearchConfig, plane):
     top = levels[-1]
     for bound in range(max(lower_bound(config.q), top.size + 1), config.q + 3):
         found = [a for rep in top.representatives
-                 for a in extend(plane, config.group, rep, bound, top.count > 1)]
+                 for a in extend(plane, config.group, rep, bound)]
         if found:
             t = min(len(a) for a in found)
             return t, sorted({canonicalize(plane, a, config.group).canon

@@ -407,16 +407,13 @@ def test_degenerate_set_certificate_round_trips():
 
 
 def test_cli_proportions_usage_errors():
-    proc = run_cli(
-        "classify", "--q", "5", "--threshold", "5",
-        "--workers", "2", "--proportions", "10,20",
-    )
-    assert proc.returncode == 2
-    proc = run_cli(
-        "classify", "--q", "5", "--threshold", "5",
-        "--workers", "2", "--proportions", "150,-50",
-    )
-    assert proc.returncode == 2
+    """Neither command takes --proportions or --stealing: parents always go
+    to the next free worker, so the flags would change nothing."""
+    for command in ("classify", "find-min"):
+        for flags in (["--proportions", "50,50"], ["--stealing"]):
+            proc = run_cli(command, "--q", "5", "--threshold", "5", "--workers", "2", *flags)
+            assert proc.returncode == 2
+            assert "unrecognized arguments: " + flags[0] in proc.stderr
 
 
 def test_cli_find_min_rejects_bound_flag():

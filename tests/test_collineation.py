@@ -20,7 +20,6 @@ from pgarc.collineation import (
     frame_map,
     generating_subset,
     group_order,
-    has_image_below,
     inverse,
     stabilizer,
     standard_frame,
@@ -172,15 +171,13 @@ def test_any_4_arc_canonicalizes_to_standard_frame():
 
 def test_canonicalize_small_sets_and_empty():
     """Fewer than 4 points hold no frame: canonicalize, frame_images,
-    is_canonical, has_image_below and canonical_children refuse them, and
-    the empty set keeps its own error.  The conventional frame prefixes
-    live on in the oracle."""
+    is_canonical and canonical_children refuse them, and the empty set
+    keeps its own error.  The conventional frame prefixes live on in the
+    oracle."""
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
-    frame = standard_frame(pl)
     for check in (canonicalize, frame_images, is_canonical,
-                  lambda pl, pts: has_image_below(pl, pts, frame),
                   lambda pl, pts: canonical_children(pl, pts, [])):
         with pytest.raises(EmptySetError):
             check(pl, [])
@@ -328,23 +325,6 @@ def test_is_canonical_agrees_with_canonicalize():
             children = [parent + (x,) for x in rng.sample(cands, 8)]
             for pts in (arc, canon, *children):
                 assert agrees(pl, pts, PGL), pts
-
-
-def test_has_image_below_compares_with_the_canonical_form():
-    """has_image_below(A, T) holds exactly when canonicalize(A) is below
-    T, for random arcs A and every representative T of sizes 5 and 6; a
-    target that does not start with the standard frame is refused."""
-    for q, group in ((7, PGL), (9, PGAMMAL)):
-        pl = get_plane(q)
-        rng = random.Random(f"has_image_below:{q}:{group}")
-        for lv in classification(q, group, 6)[1:]:
-            for _ in range(4):
-                arc = oracles.random_arc(pl, rng, max_size=lv.size)
-                canon = canonicalize(pl, arc, group).canon
-                for target in lv.representatives:
-                    assert has_image_below(pl, arc, target, group) == (canon < target)
-    with pytest.raises(DegenerateSetError, match="standard frame"):
-        has_image_below(pl, arc, sorted(arc)[1:], group)
 
 
 def _children_above(pl, rep):

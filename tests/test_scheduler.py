@@ -1,14 +1,16 @@
-"""Static proportional partitioning and deterministic parallel execution."""
+"""Proportional partitioning and deterministic parallel execution."""
 
 import functools
 import multiprocessing.pool
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgarc import scheduler
 from pgarc.scheduler import (
     BadProportionsError,
     equal_proportions,
@@ -156,19 +158,40 @@ def imap_tasks(monkeypatch):
 @pytest.mark.parametrize("stealing", [False, True])
 def test_task_is_an_index_range_whatever_the_level_size(imap_tasks, stealing):
     """The job function, which holds the level, reaches each worker once;
-    a task is a (start, stop) pair, the same few bytes at 30 parents as at
-    3,000, where the job pickles to tens of kilobytes."""
+    a task is one index (i, i + 1), the same few bytes at 30 parents as
+    at 3,000, where the job pickles to tens of kilobytes.  stealing
+    changes nothing: the tasks go out in index order either way."""
     for n in (30, 3000):
         level = tuple((0, 1, 2, 3, i, i + 7) for i in range(n))
         job = functools.partial(_level_entry, level)
-        part = partition(n, (50, 50))
-        assert run_jobs(part, job, stealing=stealing) == list(level)
+        assert run_jobs(partition(n, (50, 50)), job, stealing=stealing) == list(level)
         tasks = imap_tasks.pop()
-        want = [(i, i + 1) for i in range(n)] if stealing else list(part.ranges)
-        assert tasks == want
+        assert tasks == [(i, i + 1) for i in range(n)]
         assert all(type(a) is int and type(b) is int for a, b in tasks)
         assert max(len(pickle.dumps(t)) for t in tasks) <= 24
     assert len(pickle.dumps(job)) > 10000
+
+
+def test_pool_has_one_worker_per_non_empty_range(monkeypatch):
+    """A partition with one non-empty range runs its jobs inline and starts
+    no pool, with stealing too; otherwise the pool has one worker per
+    non-empty range."""
+    pools = []
+
+    def spy(processes, *args):
+        pools.append(processes)
+        return multiprocessing.Pool(processes, *args)
+
+    monkeypatch.setattr(scheduler, "multiprocessing", SimpleNamespace(Pool=spy))
+    for stealing in (False, True):
+        for part in (partition(0, DECAY_SPLIT), partition(1, DECAY_SPLIT),
+                     partition(57, (100,))):
+            want = [_square(i) for i in range(part.job_count)]
+            assert run_jobs(part, _square, stealing=stealing) == want
+        assert pools == []
+    assert run_jobs(partition(3, DECAY_SPLIT), _square) == [0, 1, 4]
+    assert run_jobs(partition(57, DECAY_SPLIT), _square, stealing=True)[-1] == 56 * 56
+    assert pools == [2, 4]
 
 
 def test_equal_proportions_sum():

@@ -1,12 +1,15 @@
 """Classification levels, extension search, minimum complete size."""
 
+import multiprocessing
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from pgarc.arcs import candidate_mask, iter_bits
+from pgarc import scheduler
+from pgarc.arcs import candidate_mask
 from pgarc.collineation import PGAMMAL, PGL, canonicalize, standard_frame
 from pgarc.gf import build_field
 from pgarc.plane import build_plane
@@ -15,7 +18,6 @@ from pgarc.search import (
     CheckpointError,
     ClassificationLevel,
     SearchConfig,
-    _owns_child,
     classify,
     extend,
     load_level,
@@ -141,7 +143,7 @@ def test_extension_equals_full_classification():
         seen = set()
         by_size = Counter()
         for rep in lv4.representatives:
-            for arc in extend(pl, group, rep, q + 2, prune=lv4.count > 1):
+            for arc in extend(pl, group, rep, q + 2):
                 canon = canonicalize(pl, arc, group).canon
                 if canon not in seen:
                     seen.add(canon)
@@ -153,44 +155,6 @@ def test_extend_reports_complete_root():
     pl = get_plane(2)
     rep = classification(2, PGL, 4)[-1].representatives[0]
     assert extend(pl, PGL, rep, 4) == [rep]
-
-
-def test_extend_ownership_pruning_partitions_children():
-    """Each first-level child class is explored under exactly one branch."""
-    q, group = 7, PGL
-    pl = get_plane(q)
-    levels = classification(q, group, 5)
-    top = levels[-1].representatives
-    class_owner = {}
-    for i, rep in enumerate(top):
-        for x in iter_bits(candidate_mask(pl, rep)):
-            if not _owns_child(pl, group, rep, x):
-                continue
-            canon = canonicalize(pl, (*rep, x), group).canon
-            assert class_owner.setdefault(canon, i) == i
-    # every child class of the next level is owned by some branch
-    next_level = classification(q, group, 6)[-1]
-    assert set(class_owner) == set(next_level.representatives)
-
-
-@pytest.mark.parametrize(
-    "q, group",
-    [(7, PGL), (9, PGL), (11, PGL), (13, PGL), (8, PGL), (8, PGAMMAL), (9, PGAMMAL)],
-)
-def test_ownership_matches_class_index_rule(q, group):
-    """The least-image ownership test of extend against the class-index
-    rule it replaces, on every (representative, first-level child) pair
-    of the size-5 and size-6 levels."""
-    from oracles import class_index_owner
-
-    pl = get_plane(q)
-    for lv in classification(q, group, 6)[1:]:
-        assert lv.size in (5, 6)
-        index = {rep: i for i, rep in enumerate(lv.representatives)}
-        for i, rep in enumerate(lv.representatives):
-            for x in iter_bits(candidate_mask(pl, rep)):
-                want = class_index_owner(pl, group, index, (*rep, x)) == i
-                assert _owns_child(pl, group, rep, x) == want, (rep, x)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -300,8 +264,8 @@ def alternative_plane_16():
 
 def test_classification_deterministic_across_workers():
     """Levels 6 and 7 at q = 11 grow from 2 and 15 parents, so the worker
-    path of classify runs, statically and with stealing; so does level 6
-    of PG(2,16) under a non-default modulus, from 4 parents."""
+    path of classify runs, whatever the proportions and stealing; so does
+    level 6 of PG(2,16) under a non-default modulus, from 4 parents."""
     for q, threshold, plane, counts in [(11, 7, None, [1, 2, 15, 21]),
                                         (16, 6, alternative_plane_16(), [1, 4, 61])]:
         runs = [
@@ -326,6 +290,24 @@ def test_min_complete_size_deterministic_across_workers():
             runs.append((r.size, r.class_count, r.representatives))
         assert runs[0][:2] == want
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_worker_path_under_spawn(monkeypatch):
+    """Under the spawn start method each worker unpickles the job
+    function, which holds the caller's plane and the level, and imports
+    pgarc afresh (from PYTHONPATH, as the tier-1 command sets it): levels
+    6 and 7 at q = 11 come out as on one worker."""
+    spawn = multiprocessing.get_context("spawn")
+    pools = []
+
+    def spy(processes, *args):
+        pools.append(processes)
+        return spawn.Pool(processes, *args)
+
+    monkeypatch.setattr(scheduler, "multiprocessing", SimpleNamespace(Pool=spy))
+    levels = classify(SearchConfig(q=11, classification_threshold=7, worker_count=2))
+    assert pools == [2, 2]
+    assert levels == list(classification(11, PGL, 7))
 
 
 def test_memory_budget(tmp_path):
@@ -384,8 +366,8 @@ def test_q31_single_branch_extension_smoke():
 def test_orbit_peeling_matches_per_arc_canonical_forms(q, group, threshold):
     """The census of min_complete_size against canonicalizing every
     smallest complete arc the extension reports.  At threshold 5 the
-    top level has 2 or 3 classes, so the first-level ownership pruning
-    is active."""
+    top level has 2 or 3 classes, so one class of complete arcs can be
+    reported under several branches."""
     from oracles import per_arc_min_complete_size
 
     pl = get_plane(q)
@@ -400,9 +382,9 @@ def test_orbit_peeling_matches_per_arc_canonical_forms(q, group, threshold):
 def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
     """A call-count guard, not a timing gate: at q = 13 the extension
     reports 400 complete 8-arcs in 2 classes, and the census must not
-    canonicalize them one by one; at q = 11, threshold 6, the ownership
-    test runs on the 15 classes of 6-arcs and must not canonicalize their
-    children's sub-arcs.  The search makes no canonicalize call at all."""
+    canonicalize them one by one; at q = 11, threshold 6, the extension
+    runs from the 15 classes of 6-arcs.  The search makes no canonicalize
+    call at all."""
     import pgarc.collineation
     import pgarc.search
 
