@@ -4,11 +4,12 @@
 Reproduces the class counts per size at the two orders where the
 minimum complete arc size is 14: 11 and 905 classes of 5- and 6-arcs up
 to PGL(3,31), and 3 and 213 up to PGammaL(3,32).  Size 7 (66,272 and
-16,593 classes) takes about 65 s at q = 31 and 80 s at q = 32 with
+16,593 classes) takes about 7 s at q = 31 and 6 s at q = 32 with
 --threshold 7 --workers 2 on 2 vCPUs under CPython 3.11; the runs are
 recorded in results/classify_q31_level7.log and
 results/classify_q32_level7.log.  Size 8 (3,768,298 and 1,031,750
-classes) needs far more CPU time and memory.
+classes) needs about 0.2 CPU-hours each by the same code, but more
+memory than a level held as one list should take.
 """
 
 import argparse

@@ -13,19 +13,37 @@ Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
-of them, canonical_children tests the children of a canonical arc
-against a table of its own frames and sweeps only the frames that use
-the child's new point, and stabilizer keeps the maps onto the set
-itself.  All of them run on one kernel, _frame_sweep.  For each
-unordered non-collinear triple T it evaluates the three sides of T at
-every point of the set once; the 6 orderings of T only permute those
-values, and the frame map of (T, D) divides them by their values at D.
-In discrete logarithms that is two subtractions and two table lookups
-per image point, with no matrix and no normalization.
+of them, canonical_children tests the children of a canonical arc, and
+stabilizer keeps the maps onto the set itself.  The full sweeps run on
+one kernel, _frame_sweep.  For each unordered non-collinear triple T it
+evaluates the three sides of T at every point of the set once; the 6
+orderings of T only permute those values, and the frame map of (T, D)
+divides them by their values at D.  In discrete logarithms that is two
+subtractions and two table lookups per image point, with no matrix and
+no normalization.
+
+Canonical forms image only the frames that can reach the least image,
+chosen by a five-point invariant.  For a 5-arc T let c5(T) =
+canonicalize(T)[4].  A table over the points P holds c5(frame + (P,))
+and the frames that carry frame + (P,) onto frame + (c5,)
+(_five_point_table), so c5 of any 5-subset of an arc is the entry at
+the image of its fifth point under one frame map of the other four.
+
+Lemma: for an arc S of at least 5 points, canonicalize(S)[4] is the
+least c5(T) over the 5-subsets T of S.  Proof sketch: the other points
+of an arc through the frame lie on no side of the frame, so above
+2q + 2.  The least image g(S) holds the frame, and its fifth point m is
+its least point past the frame, so T = g^-1(frame + (m,)) is a 5-subset
+with c5(T) <= m.  Conversely h(T) = frame + (c5(T),) gives an image
+h(S) that holds the frame and c5(T), so m <= c5(T).  Hence a frame map that
+reaches the least image carries a 5-subset with the least c5 onto
+frame + (m,), and the table lists exactly those maps for it (the
+guided frames): one per element of that 5-subset's stabilizer.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -208,7 +226,26 @@ def frame_map(plane: Plane, quad) -> Collineation:
     return Collineation(_normalize_matrix(field, rows), 0)
 
 
-def _frame_sweep(plane: Plane, pts, group: str, known=None):
+def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
+    """side[a, b] for each pair of positions a < b in pairs: the logs of
+    the line through the conjugates of pts[a] and pts[b] under Frobenius
+    power f at the conjugate of every point of pts, None for a zero.
+    The lists of known, a side table already at hand, are kept."""
+    field = plane.field
+    q, log, mt, at = field.q, field.log, field.mul_flat, field.add_flat
+    perm, rows = plane.frob_point_perms[f], plane.line_rows
+    src = [perm[i] for i in pts]
+    coords = [plane.points[i] for i in src]
+    side = dict(known) if known else {}
+    for a, b in pairs:
+        if (a, b) not in side:
+            l0, l1, l2 = plane.lines[rows[src[a]][src[b]]]
+            side[a, b] = [log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                          for x0, x1, x2 in coords]
+    return side
+
+
+def _frame_sweep(plane: Plane, pts, group: str):
     """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates.
 
     For each Frobenius power f, each non-collinear triple of the image
@@ -216,50 +253,24 @@ def _frame_sweep(plane: Plane, pts, group: str, known=None):
     on the side opposite V_i: the rows of adj[V0|V1|V2], up to scalars.
     The frame map of (V2, V1, V0, D) sends x to
     (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
-    (f, (V2, V1, V0), ids, r1, r2, odd, side, w): ids are the other
-    points off every side, each a valid D, with r_i = log w_i - log w0
-    mod q-1, so x lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) -
-    r2(D)]; odd holds (log w0, log w1, log w2) of the other points on a
-    side, None for a zero.  side is f's side table: side[b(b-1)/2 + a]
-    lists the logs of the side through the points at positions a < b of
-    pts at every point, so the pairs of pts[:-1] come first; w holds the
-    positions of w0, w1, w2 in it.  Sides are evaluated once per point
-    pair, not per quad.
-
-    known, the side tables of pts[:-1] with every list extended by its
-    value at pts[-1], one per Frobenius power, limits the sweep to the
-    triangles through pts[-1] and evaluates only the sides through it.
+    (f, (V2, V1, V0), ids, r1, r2, odd): ids are the other points off
+    every side, each a valid D, with r_i = log w_i - log w0 mod q-1, so
+    x lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)]; odd
+    holds (log w0, log w1, log w2) of the other points on a side, None
+    for a zero.  Sides are evaluated once per point pair (_side_logs),
+    not per quad.
     """
-    field = plane.field
-    q = field.q
-    m = q - 1
-    log = field.log
-    mt = field.mul_flat
-    at = field.add_flat
-    rows = plane.line_rows
+    m = plane.q - 1
     k = len(pts)
-    for f in range(field.h) if group == PGAMMAL else range(1):
+    for f in range(plane.field.h) if group == PGAMMAL else range(1):
         perm = plane.frob_point_perms[f]
         src = [perm[i] for i in pts]
-        coords = [plane.points[i] for i in src]
-        side = [] if known is None else list(known[f])
-        for b in range(0 if known is None else k - 1, k):
-            for a in range(b):
-                l0, l1, l2 = plane.lines[rows[src[a]][src[b]]]
-                side.append([
-                    log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-                    for x0, x1, x2 in coords
-                ])
-        if known is None:
-            tris = combinations(range(k), 3)
-        else:
-            tris = ((a, b, k - 1) for a, b in combinations(range(k - 1), 2))
-        for tri in tris:
+        side = _side_logs(plane, pts, f, combinations(range(k), 2))
+        for tri in combinations(range(k), 3):
             a, b, c = tri
-            w = (c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a)
-            if side[w[0]][a] is None:
+            w0, w1, w2 = side[b, c], side[a, c], side[a, b]  # opposite a, b, c
+            if w0[a] is None:
                 continue  # collinear triple: no frame
-            w0, w1, w2 = side[w[0]], side[w[1]], side[w[2]]  # opposite a, b, c
             rest = [(w0[x], w1[x], w2[x], src[x]) for x in range(k) if x not in tri]
             good = [p for p in rest if None not in p]
             odd = [p for p in rest if None in p]
@@ -267,8 +278,31 @@ def _frame_sweep(plane: Plane, pts, group: str, known=None):
             rel = {(i, j): [(p[j] - p[i]) % m for p in good] for i, j in permutations(range(3), 2)}
             for i, j, l in permutations(range(3)):
                 corners = (src[tri[l]], src[tri[j]], src[tri[i]])
-                yield (f, corners, ids, rel[i, j], rel[i, l], [(p[i], p[j], p[l]) for p in odd],
-                       side, (w[i], w[j], w[l]))
+                yield f, corners, ids, rel[i, j], rel[i, l], [(p[i], p[j], p[l]) for p in odd]
+
+
+def _frame_tails(plane: Plane, pts, frames, sides=None):
+    """The guided frames of an arc, one by one: (f, quad, tail) for each
+    (f, quad) in frames, quad the positions in pts of (V2, V1, V0, D) as
+    in _frame_sweep, and tail the sorted image of the points off the
+    triangle under that frame map after Frobenius power f.  sides[f],
+    a side table at hand, is read before any side is evaluated."""
+    m = plane.q - 1
+    row, exp = plane.affine_row, plane.field.exp
+    k = len(pts)
+    needed: dict = {}
+    for f, (v2, v1, v0, _) in frames:
+        needed.setdefault(f, set()).update(
+            (u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1)))
+    tables = {f: _side_logs(plane, pts, f, pairs, sides and sides.get(f))
+              for f, pairs in needed.items()}
+    for f, quad in frames:
+        v2, v1, v0, d = quad
+        side = tables[f]
+        w0, w1, w2 = (side[(u, v) if u < v else (v, u)] for u, v in ((v1, v2), (v0, v2), (v0, v1)))
+        d1, d2 = w1[d] - w0[d], w2[d] - w0[d]
+        yield f, quad, sorted([row[(w1[x] - w0[x] - d1) % m] + exp[(w2[x] - w0[x] - d2) % m]
+                               for x in range(k) if x != v0 and x != v1 and x != v2])
 
 
 def _side_point_image(plane: Plane, logs, d1: int, d2: int) -> int:
@@ -295,19 +329,6 @@ def _arc_points(plane: Plane, points, group: str) -> list[int]:
     return pts
 
 
-def _sweep_images(plane: Plane, pts, group: str):
-    """Per ordered triangle of _frame_sweep, (f, corners, ids, images):
-    images[i] is the sorted image, past the triangle, under the frame map
-    whose fourth point is ids[i].  The triangle lands on the first three
-    frame points; D and every other point of an arc land on (1, a, b) with
-    a, b != 0, at indices >= D's 2q + 2."""
-    row, exp = plane.affine_row, plane.field.exp
-    for f, corners, ids, r1, r2, _, _, _ in _frame_sweep(plane, pts, group):
-        pairs = list(zip(r1, r2))
-        yield f, corners, ids, [sorted([row[a - d1] + exp[b - d2] for a, b in pairs])
-                                for d1, d2 in pairs]
-
-
 def frame_images(plane: Plane, arc, group: str = PGL):
     """Every sorted image of an arc that contains the standard frame.
 
@@ -320,8 +341,93 @@ def frame_images(plane: Plane, arc, group: str = PGL):
     """
     pts = _arc_points(plane, arc, group)
     head = standard_frame(plane)[:3]
-    return (head + tuple(rest)
-            for _, _, _, images in _sweep_images(plane, pts, group) for rest in images)
+    row, exp = plane.affine_row, plane.field.exp
+    return (head + tuple(sorted([row[a - d1] + exp[b - d2] for a, b in pairs]))
+            for _, _, _, r1, r2, _ in _frame_sweep(plane, pts, group)
+            for pairs in [list(zip(r1, r2))] for d1, d2 in pairs)
+
+
+_FIVE_POINT_TABLES = weakref.WeakKeyDictionary()  # plane -> {group: (c5, onto)}
+
+
+def _five_point_table(plane: Plane, group: str):
+    """(c5, onto) for the points P off the sides of the standard frame:
+    c5[P] = canonicalize(frame + (P,)).canon[4], and onto[P] lists every
+    frame (f, (t0, t1, t2, t3)) of a map g with g(frame + (P,)) =
+    frame + (c5[P],) as sets: g carries the points at positions t0..t3
+    of frame + (P,) onto the standard frame, after Frobenius power f.
+
+    Built on first use, once per plane and group, by orbit peeling: a P
+    without an entry, in increasing order, is the least point of its
+    class, and one sweep of the frames g of A = frame + (P,) reaches
+    every other point y of the class, g(A) = frame + (y,); g inverse
+    carries frame + (y,) onto A, so it joins onto[y].  The tables are
+    a function of the plane and group alone, kept as tuples while the
+    plane lives.
+    """
+    tables = _FIVE_POINT_TABLES.setdefault(plane, {})
+    if group not in tables:
+        frame = standard_frame(plane)
+        on_sides = plane.secant_mask(frame)
+        row, exp, h = plane.affine_row, plane.field.exp, plane.field.h
+        c5 = [None] * plane.size
+        onto: list = [None] * plane.size
+        for p in range(plane.size):
+            if c5[p] is not None or on_sides >> p & 1:
+                continue
+            rep = frame + (p,)
+            for f, corners, ids, r1, r2, _ in _frame_sweep(plane, rep, group):
+                pos = {plane.frob_point_perms[f][v]: i for i, v in enumerate(rep)}
+                for d, t in ((0, 1), (1, 0)):
+                    y = row[r1[t] - r1[d]] + exp[r2[t] - r2[d]]
+                    # g carries rep[order[i]] to the i-th point of frame + (y,)
+                    order = [pos[v] for v in (*corners, ids[d], ids[t])]
+                    if c5[y] is None:
+                        c5[y], onto[y] = p, []
+                    onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
+        tables[group] = tuple(c5), tuple(o and tuple(o) for o in onto)
+    return tables[group]
+
+
+def _quad_frames(plane: Plane, side, k: int) -> list:
+    """One frame map per 4-subset of an arc of k points, from its side
+    table at f = 0: per triangle a < b < c, its sides opposite a, b, c
+    and (d, r1(d), r2(d)) for each d > c.  The frame (V2, V1, V0, D) =
+    (c, b, a, d) sends a point whose log differences on those sides are
+    (u1, u2) to affine_row[u1 - r1(d)] + exp[u2 - r2(d)] (_frame_sweep)."""
+    m = plane.q - 1
+    quads = []
+    for a, b, c in combinations(range(k), 3):
+        w = (b, c), (a, c), (a, b)
+        w0, w1, w2 = (side[p] for p in w)
+        quads.append(((a, b, c), w, [(d, (w1[d] - w0[d]) % m, (w2[d] - w0[d]) % m)
+                                     for d in range(c + 1, k)]))
+    return quads
+
+
+def _onto(labels, five) -> list:
+    """The frames of a 5-subset, as positions, that reach frame + (c5,):
+    five lists its positions in the order that a frame map carries onto
+    frame + (y,), and labels is onto[y] of _five_point_table."""
+    return [(f, tuple(five[t] for t in tau)) for f, tau in labels]
+
+
+def _least_fives(plane: Plane, group: str, quads):
+    """The least c5 over the 5-subsets of an arc, from its _quad_frames,
+    and the guided frames: those that carry a 5-subset with that c5
+    onto frame + (c5,)."""
+    c5, onto = _five_point_table(plane, group)
+    row, exp = plane.affine_row, plane.field.exp
+    least, reached = plane.size, []
+    for (a, b, c), _, offs in quads:
+        for i, (d, d1, d2) in enumerate(offs):
+            for e, e1, e2 in offs[i + 1:]:
+                y = row[e1 - d1] + exp[e2 - d2]
+                if c5[y] <= least:
+                    if c5[y] < least:
+                        least, reached = c5[y], []
+                    reached.append((y, (c, b, a, d, e)))
+    return least, [g for y, five in reached for g in _onto(onto[y], five)]
 
 
 def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalForm:
@@ -330,31 +436,28 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
 
     That is the least image over the whole group: any image is an arc,
     and an arc whose sorted indices are minimal must contain the standard
-    frame (greedy argument on the point ordering).  The empty set raises
-    EmptySetError; fewer than 4 points, or a collinear triple,
-    DegenerateSetError.
+    frame (greedy argument on the point ordering).  Only the guided
+    frames are imaged (module docstring): by the lemma every frame map
+    that reaches the least image carries a 5-subset with the least c5
+    onto frame + (c5,), and those are the frames that _five_point_table
+    lists for it.  A 4-arc's least image is the frame itself.  The empty
+    set raises EmptySetError; fewer than 4 points, or a collinear
+    triple, DegenerateSetError.
     """
     pts = _arc_points(plane, points, group)
+    k = len(pts)
+    side = _side_logs(plane, pts, 0, combinations(range(k), 2))
+    frames = [(0, (0, 1, 2, 3))]
+    if k > 4:
+        frames = _least_fives(plane, group, _quad_frames(plane, side, k))[1]
     best = [plane.size]  # above every index, so the first image wins
-    for f, corners, ids, images in _sweep_images(plane, pts, group):
-        least = min(images)
-        if least < best:
-            best = least
-            best_f, best_quad = f, (*corners, ids[images.index(least)])
-    witness = Collineation(frame_map(plane, best_quad).matrix, best_f)
-    return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), witness)
-
-
-def _image_below(plane: Plane, pts, rest, group: str, known=None) -> bool:
-    """Whether a frame image of the sorted arc pts has a tail below rest
-    (frame_images with an early exit); known as in _frame_sweep."""
-    row, exp = plane.affine_row, plane.field.exp
-    for _, _, _, r1, r2, _, _, _ in _frame_sweep(plane, pts, group, known):
-        pairs = list(zip(r1, r2))
-        for d1, d2 in pairs:
-            if sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) < rest:
-                return True
-    return False
+    for f, quad, tail in _frame_tails(plane, pts, frames, {0: side}):
+        if tail < best:
+            best, best_f, best_quad = tail, f, quad
+    perm = plane.frob_point_perms[best_f]
+    witness = frame_map(plane, tuple(perm[pts[i]] for i in best_quad))
+    return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best),
+                                 Collineation(witness.matrix, best_f))
 
 
 def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> list[int]:
@@ -363,76 +466,78 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     point and off its secants; a parent that is not its own least image
     has no such child (search module docstring).
 
-    Read's orderly test with work shared by the children of one parent R
-    (McKay's canonical augmentation): a frame whose triangle and fourth
-    point lie in R maps R to a sorted image whose tail I does not depend
-    on x, and I >= R[3:] as R is canonical.  Let k be the first position
-    where they differ, len(I) when the frame is in Stab(R), and T =
-    R[3:] + [x].  The image of R + (x,) sorts below it when y, the image
-    of x, is below T[k], not when y is above, and one comparison of
-    sorted(I + [y]) with T decides y == T[k].  So these frames are swept
-    once per parent, and a child costs the logs of x on R's sides and two
-    lookups per frame.  A child they keep is tested against the frames
-    that use x: those with D = x and a triangle in R, imaged from the
-    parent's offsets, and the triangles through x, swept with R's side
-    logs reused.
+    Read's orderly test, guided by the five-point invariant (module
+    docstring).  Let R be the parent, S = R + (x,) and m0 = S[4], that is
+    R[4], or x when R is the frame.  R is canonical, so each 5-subset of
+    R has c5 >= m0, and by the lemma S is its own least image only if no
+    5-subset through x has c5 < m0.  Those are Q + (x,) for the 4-subsets
+    Q of R, with c5 the table entry at F_Q(x), F_Q one frame map of Q:
+    two lookups per Q from the logs of x on R's sides and the offsets of
+    R's points, found once per parent.  A child that this keeps has
+    canonicalize(S)[4] = m0, so a frame map that takes S below itself
+    carries a 5-subset with c5 = m0 onto frame + (m0,): one of the
+    Q + (x,) that reached m0, imaged with R's side logs reused, or one
+    of R's own guided frames.  Those image R alike for every child, so
+    the parent's own test keeps their tails, and a child costs the image
+    of x under each, two lookups, and one comparison.
     """
     pts = _arc_points(plane, parent, group)
     if tuple(pts[:4]) != standard_frame(plane):
         return []
+    k = len(pts)
     field = plane.field
     q, m = field.q, field.q - 1
     log, mt, at = field.log, field.mul_flat, field.add_flat
     row, exp = plane.affine_row, field.exp
+    c5, onto = _five_point_table(plane, group)
+    sides = [_side_logs(plane, pts, f, combinations(range(k), 2))
+             for f in (range(field.h) if group == PGAMMAL else range(1))]
+    quads = _quad_frames(plane, sides[0], k)
+    least, frames = _least_fives(plane, group, quads)
     head = pts[3:]
-    tables, entries = {}, []
-    for f, _, _, r1, r2, _, side, w in _frame_sweep(plane, pts, group):
-        tables[f] = side
-        pairs = list(zip(r1, r2))
-        frames = []
-        for d1, d2 in pairs:
-            image = sorted([row[a - d1] + exp[b - d2] for a, b in pairs])
-            if image < head:
-                return []
-            k = next((i for i, (u, v) in enumerate(zip(image, head)) if u != v), len(head))
-            frames.append((d1, d2, k, image))
-        entries.append((f, w, pairs, frames))
-    # a frame that agrees with R on a longer head rejects more children
-    entries.sort(key=lambda e: -max(k for _, _, k, _ in e[3]))
-    lines = []  # per Frobenius power, the side lines in side-table order
-    for f in sorted(tables):
-        src = [plane.frob_point_perms[f][i] for i in pts]
-        lines.append([plane.lines[plane.line_rows[src[a]][src[b]]]
-                      for b in range(len(src)) for a in range(b)])
+    own = []  # R's guided frames: (f, the pairs of their sides, D's offsets, tail of R)
+    for f, (v2, v1, v0, d), tail in _frame_tails(plane, pts, frames, dict(enumerate(sides))):
+        w = [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))]
+        w0, w1, w2 = (sides[f][p] for p in w)
+        own.append((f, w, w1[d] - w0[d], w2[d] - w0[d], tail))
+    if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
+        return []
+    lines = [[(p, plane.lines[plane.line_rows[perm[pts[p[0]]]][perm[pts[p[1]]]]]) for p in sides[0]]
+             for perm in plane.frob_point_perms[:len(sides)]]
+
+    def logs_at(f: int, x: int) -> dict:
+        """The logs of x's conjugate under Frobenius power f on R's sides."""
+        x0, x1, x2 = plane.points[plane.frob_point_perms[f][x]]
+        return {p: log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                for p, (l0, l1, l2) in lines[f]}
 
     def below(x: int) -> bool:
         """Whether pts + [x] has an image below itself."""
         if x <= pts[-1]:
             raise ValueError(f"candidate {x} is not above the parent's last point {pts[-1]}")
-        logs = []  # per Frobenius power, the logs of x's conjugate on R's sides
-        for f, side_lines in enumerate(lines):
-            x0, x1, x2 = plane.points[plane.frob_point_perms[f][x]]
-            logs.append([log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-                         for l0, l1, l2 in side_lines])
-        if None in logs[0]:
+        logs = logs_at(0, x)
+        if None in logs.values():
             raise DegenerateSetError(f"candidate {x} lies on a secant of the parent")
-        target = head + [x]
-        offsets = []
-        for f, (i, j, l), _, frames in entries:
-            v = logs[f]
-            u1, u2 = (v[j] - v[i]) % m, (v[l] - v[i]) % m
-            offsets.append((u1, u2))
-            for d1, d2, k, image in frames:
+        m0 = pts[4] if k > 4 else x
+        guided = []
+        for (a, b, c), (p0, p1, p2), offs in quads:
+            v = logs[p0]
+            u1, u2 = (logs[p1] - v) % m, (logs[p2] - v) % m
+            for d, d1, d2 in offs:
                 y = row[u1 - d1] + exp[u2 - d2]
-                if y < target[k] or y == target[k] and sorted(image + [y]) < target:
+                if c5[y] < m0:
                     return True
-        # D = x maps x to the frame point target[0] = head[0]
-        tail = target[1:]
-        for (u1, u2), (_, _, pairs, _) in zip(offsets, entries):
-            if sorted([row[a - u1] + exp[b - u2] for a, b in pairs]) < tail:
+                if c5[y] == m0:
+                    guided += _onto(onto[y], (c, b, a, d, k))
+        target = head + [x]
+        xlogs = [logs] + [logs_at(f, x) for f in range(1, len(sides))]
+        for f, (p0, p1, p2), d1, d2, tail in own:
+            v = xlogs[f]
+            y = row[(v[p1] - v[p0] - d1) % m] + exp[(v[p2] - v[p0] - d2) % m]
+            if sorted(tail + [y]) < target:
                 return True
-        known = [[s + [e] for s, e in zip(tables[f], v)] for f, v in enumerate(logs)]
-        return _image_below(plane, pts + [x], target, group, known)
+        known = {f: {p: s + [xlogs[f][p]] for p, s in sides[f].items()} for f in {f for f, _ in guided}}
+        return any(tail < target for _, _, tail in _frame_tails(plane, pts + [x], guided, known))
 
     return [x for x in candidates if not below(x)]
 
@@ -461,7 +566,7 @@ def stabilizer(plane: Plane, points, group: str = PGL):
 
     row, exp = plane.affine_row, field.exp
     elements = []
-    for f, corners, ids, r1, r2, odd, _, _ in _frame_sweep(plane, pts, group):
+    for f, corners, ids, r1, r2, odd in _frame_sweep(plane, pts, group):
         pairs = list(zip(r1, r2))
         for d, d1, d2 in zip(ids, r1, r2):
             for a, b in pairs:

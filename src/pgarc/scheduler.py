@@ -8,9 +8,10 @@ leave a worker idle.
 A Partition still describes the run, for the callers that build one:
 it has one contiguous range per worker, with worker k given
 floor(job_count * p_k / 100) jobs and the remainder handed out one each
-to the last r workers.  Only its number of non-empty ranges matters to
-run_jobs: that many worker processes are started, and with at most one
-the jobs run inline.  Which worker runs which index is not fixed.
+to the last r workers.  Only its number of shares matters to run_jobs:
+that many worker processes are started, or one per job when there are
+fewer jobs, and with at most one the jobs run inline.  Which worker
+runs which index is not fixed.
 
 The job function is installed once per worker, by the pool initializer;
 a task is only an index range (i, i + 1), so its size does not grow with
@@ -90,19 +91,34 @@ def _run_range(task) -> list:
     return [_job_fn(i) for i in range(start, stop)]
 
 
-def run_jobs(part: Partition, job_fn, *, stealing: bool = False) -> list:
+def run_jobs(part: Partition, job_fn, *, stealing: bool = False, each=None) -> list:
     """Execute every job index of the partition and return the results in
     index order; the first failure by job index is re-raised.
 
-    One worker per non-empty range of part, each taking the next index
-    when it is free (module docstring); inline with at most one.
-    stealing is accepted for the callers that pass it and changes
-    nothing: every run is dispatched this way.
+    One worker per share of part, but no more than there are jobs, each
+    taking the next index when it is free (module docstring); inline
+    with at most one.  each, if given, is called on every result in
+    index order as soon as it and all before it are in, so a caller can
+    stop the run by raising: the workers are terminated and joined
+    before the error propagates.  stealing is accepted for the callers
+    that pass it and changes nothing: every run is dispatched this way.
     """
     total = part.job_count
-    workers = sum(e > s for s, e in part.ranges)
-    if workers <= 1:
-        return [job_fn(i) for i in range(total)]
-    tasks = [(i, i + 1) for i in range(total)]
-    with multiprocessing.Pool(workers, _install, (job_fn,)) as pool:
-        return [r for chunk in pool.imap(_run_range, tasks) for r in chunk]
+    workers = min(len(part.ranges), total)
+    pool = multiprocessing.Pool(workers, _install, (job_fn,)) if workers > 1 else None
+    try:
+        if pool is None:
+            arriving = map(job_fn, range(total))
+        else:
+            tasks = [(i, i + 1) for i in range(total)]
+            arriving = (r for chunk in pool.imap(_run_range, tasks) for r in chunk)
+        results = []
+        for r in arriving:
+            results.append(r)
+            if each is not None:
+                each(r)
+        return results
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()

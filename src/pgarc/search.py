@@ -7,8 +7,7 @@ is its own least image.  If g(T) < T for T = S - {max S}, then g(S) < S:
 adding g(max S) cannot move the first difference.  So each canonical
 (n+1)-arc comes once, from its canonical parent, already sorted.  The
 children of one parent are tested together by
-collineation.canonical_children, against a table of the parent's frames
-built once.
+collineation.canonical_children, guided by the five-point invariant.
 
 Above the threshold a depth-first extension takes over: candidates are
 added in increasing point-index order (each child only considers points
@@ -56,7 +55,7 @@ class SearchConfig:
     proportions and stealing no longer shape the dispatch
     (scheduler.run_jobs): proportions, one positive share per worker
     summing to 100, only sets how many workers a level starts, one per
-    non-empty share of its parents; stealing is ignored.
+    share but no more than the level has parents; stealing is ignored.
     """
 
     q: int
@@ -134,14 +133,20 @@ def _apply_at(fn, reps, i: int):
     return fn(reps[i])
 
 
-def _map_reps(config: SearchConfig, fn, reps):
-    """fn(rep) for every representative, in order: lazily on one worker,
-    else by scheduler.run_jobs over config.worker_count workers."""
-    if config.worker_count == 1 or len(reps) <= 1:
-        return map(fn, reps)
-    part = scheduler.partition(len(reps), config.proportions)
-    job = functools.partial(_apply_at, fn, tuple(reps))
-    return scheduler.run_jobs(part, job, stealing=config.stealing)
+def _map_reps(config: SearchConfig, fn, reps, each=None) -> list:
+    """fn(rep) for every representative, in order: inline on one worker,
+    else by scheduler.run_jobs over config.worker_count workers.  each,
+    if given, is called on every result in order as soon as it is in."""
+    if config.worker_count > 1 and len(reps) > 1:
+        part = scheduler.partition(len(reps), config.proportions)
+        job = functools.partial(_apply_at, fn, tuple(reps))
+        return scheduler.run_jobs(part, job, stealing=config.stealing, each=each)
+    results = []
+    for rep in reps:
+        results.append(fn(rep))
+        if each is not None:
+            each(results[-1])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +218,14 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
     parents of a level are dispatched by scheduler.run_jobs: each worker
     gets the parent-children function, which holds the caller's plane and
     the level, once, then takes one parent index at a time, in index
-    order, whenever it is free.  max_level_classes is checked after each
-    parent on one worker; with worker_count > 1 it is checked only after
-    every parent has returned, so a level over the budget is computed in
-    full before it raises.  The threshold is clamped to the largest
-    nonempty level.  With a checkpoint directory, completed levels are
-    written out and a rerun resumes after the last complete one; a
-    checkpoint that does not hold its level raises CheckpointError.
+    order, whenever it is free.  max_level_classes is checked on each
+    parent's children as they come in, in parent order, so 1 and n
+    workers stop at the same parent with the same message, and the
+    workers are stopped before MemoryBudgetExceededError propagates.
+    The threshold is clamped to the largest nonempty level.  With a
+    checkpoint directory, completed levels are written out and a rerun
+    resumes after the last complete one; a checkpoint that does not hold
+    its level raises CheckpointError.
     """
     plane = plane if plane is not None else default_plane(config.q)
     group, budget = config.group, config.max_level_classes
@@ -241,14 +247,16 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
                     break
                 levels.append(loaded)
                 continue
-        children = functools.partial(_canonical_children, plane, group)
-        chunks = _map_reps(config, children, levels[-1].representatives)
         reps: list = []
-        for chunk in chunks:  # in parent order, so the level comes out sorted
-            reps += chunk
+
+        def take(chunk):  # in parent order, so the level comes out sorted
+            reps.extend(chunk)
             if budget is not None and len(reps) > budget:
                 raise MemoryBudgetExceededError(f"level {size} reached {len(reps)} "
                                                 f"classes, over the budget of {budget}")
+
+        children = functools.partial(_canonical_children, plane, group)
+        _map_reps(config, children, levels[-1].representatives, take)
         level = ClassificationLevel(size, reps)
         if ckdir:
             save_level(ckdir, plane.q, group, level)

@@ -13,8 +13,9 @@ frame sweep of pgarc.collineation.  Classification by canonicalizing
 every child of every representative and deduplicating in a set is the
 slow reference for the orderly (canonical-parent) classification of
 pgarc.search, one early-exit least-image sweep per child (is_canonical)
-is the slow reference for the parent-amortized test
-collineation.canonical_children, canonicalizing every smallest complete
+and the earlier test of all children against a table of the parent's
+frames (sweep_canonical_children) are the slow references for the
+guided test collineation.canonical_children, canonicalizing every smallest complete
 arc the extension reports is the slow reference for its orbit peeling,
 and a dot product for every point-line pair is the slow reference for
 the plane's incidence tables.  The validated collineation constructor,
@@ -39,7 +40,6 @@ from pgarc.collineation import (
     _adjugate,
     _arc_points,
     _check_group,
-    _image_below,
     _matmul,
     _normalize_matrix,
     apply_matrix,
@@ -519,12 +519,170 @@ def sweep_stabilizer(plane, points, group: str = PGL):
     return elements, classify_structure(orders)
 
 
+def logged_frame_sweep(plane, pts, group: str, known=None):
+    """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates:
+    the sweep of collineation._frame_sweep as it was before the five-point
+    table guided canonical forms, with its side tables in the output.
+
+    For each Frobenius power f, each non-collinear triple of the image
+    set and each of its 6 orderings V0, V1, V2, let w_i(x) be x's value
+    on the side opposite V_i: the rows of adj[V0|V1|V2], up to scalars.
+    The frame map of (V2, V1, V0, D) sends x to
+    (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
+    (f, (V2, V1, V0), ids, r1, r2, odd, side, w): ids are the other
+    points off every side, each a valid D, with r_i = log w_i - log w0
+    mod q-1, so x lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) -
+    r2(D)]; odd holds (log w0, log w1, log w2) of the other points on a
+    side, None for a zero.  side is f's side table: side[b(b-1)/2 + a]
+    lists the logs of the side through the points at positions a < b of
+    pts at every point, so the pairs of pts[:-1] come first; w holds the
+    positions of w0, w1, w2 in it.  Sides are evaluated once per point
+    pair, not per quad.
+
+    known, the side tables of pts[:-1] with every list extended by its
+    value at pts[-1], one per Frobenius power, limits the sweep to the
+    triangles through pts[-1] and evaluates only the sides through it.
+    """
+    field = plane.field
+    q = field.q
+    m = q - 1
+    log = field.log
+    mt = field.mul_flat
+    at = field.add_flat
+    rows = plane.line_rows
+    k = len(pts)
+    for f in range(field.h) if group == PGAMMAL else range(1):
+        perm = plane.frob_point_perms[f]
+        src = [perm[i] for i in pts]
+        coords = [plane.points[i] for i in src]
+        side = [] if known is None else list(known[f])
+        for b in range(0 if known is None else k - 1, k):
+            for a in range(b):
+                l0, l1, l2 = plane.lines[rows[src[a]][src[b]]]
+                side.append([
+                    log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                    for x0, x1, x2 in coords
+                ])
+        if known is None:
+            tris = combinations(range(k), 3)
+        else:
+            tris = ((a, b, k - 1) for a, b in combinations(range(k - 1), 2))
+        for tri in tris:
+            a, b, c = tri
+            w = (c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a)
+            if side[w[0]][a] is None:
+                continue  # collinear triple: no frame
+            w0, w1, w2 = side[w[0]], side[w[1]], side[w[2]]  # opposite a, b, c
+            rest = [(w0[x], w1[x], w2[x], src[x]) for x in range(k) if x not in tri]
+            good = [p for p in rest if None not in p]
+            odd = [p for p in rest if None in p]
+            ids = [p[3] for p in good]
+            rel = {(i, j): [(p[j] - p[i]) % m for p in good] for i, j in permutations(range(3), 2)}
+            for i, j, l in permutations(range(3)):
+                corners = (src[tri[l]], src[tri[j]], src[tri[i]])
+                yield (f, corners, ids, rel[i, j], rel[i, l], [(p[i], p[j], p[l]) for p in odd],
+                       side, (w[i], w[j], w[l]))
+
+
+def _image_below(plane, pts, rest, group: str, known=None) -> bool:
+    """Whether a frame image of the sorted arc pts has a tail below rest
+    (frame_images with an early exit); known as in logged_frame_sweep."""
+    row, exp = plane.affine_row, plane.field.exp
+    for _, _, _, r1, r2, _, _, _ in logged_frame_sweep(plane, pts, group, known):
+        pairs = list(zip(r1, r2))
+        for d1, d2 in pairs:
+            if sorted([row[a - d1] + exp[b - d2] for a, b in pairs]) < rest:
+                return True
+    return False
+
+
 def is_canonical(plane, points, group: str = PGL) -> bool:
     """canonicalize(...).canon == sorted(points) by one early-exit sweep of
     the arc: it starts with the standard frame and has no image below
     itself.  Raises as canonicalize."""
     pts = _arc_points(plane, points, group)
     return tuple(pts[:4]) == standard_frame(plane) and not _image_below(plane, pts, pts[3:], group)
+
+
+def sweep_canonical_children(plane, parent, candidates, group: str = PGL) -> list[int]:
+    """collineation.canonical_children as it was before the five-point
+    table guided it, every frame of the parent swept: the candidates x
+    for which parent + (x,) is its own least image, in order.
+    Candidates lie above the parent's last point and off its secants; a
+    parent that is not its own least image has no such child.
+
+    Read's orderly test with work shared by the children of one parent R
+    (McKay's canonical augmentation): a frame whose triangle and fourth
+    point lie in R maps R to a sorted image whose tail I does not depend
+    on x, and I >= R[3:] as R is canonical.  Let k be the first position
+    where they differ, len(I) when the frame is in Stab(R), and T =
+    R[3:] + [x].  The image of R + (x,) sorts below it when y, the image
+    of x, is below T[k], not when y is above, and one comparison of
+    sorted(I + [y]) with T decides y == T[k].  So these frames are swept
+    once per parent, and a child costs the logs of x on R's sides and two
+    lookups per frame.  A child they keep is tested against the frames
+    that use x: those with D = x and a triangle in R, imaged from the
+    parent's offsets, and the triangles through x, swept with R's side
+    logs reused.
+    """
+    pts = _arc_points(plane, parent, group)
+    if tuple(pts[:4]) != standard_frame(plane):
+        return []
+    field = plane.field
+    q, m = field.q, field.q - 1
+    log, mt, at = field.log, field.mul_flat, field.add_flat
+    row, exp = plane.affine_row, field.exp
+    head = pts[3:]
+    tables, entries = {}, []
+    for f, _, _, r1, r2, _, side, w in logged_frame_sweep(plane, pts, group):
+        tables[f] = side
+        pairs = list(zip(r1, r2))
+        frames = []
+        for d1, d2 in pairs:
+            image = sorted([row[a - d1] + exp[b - d2] for a, b in pairs])
+            if image < head:
+                return []
+            k = next((i for i, (u, v) in enumerate(zip(image, head)) if u != v), len(head))
+            frames.append((d1, d2, k, image))
+        entries.append((f, w, pairs, frames))
+    # a frame that agrees with R on a longer head rejects more children
+    entries.sort(key=lambda e: -max(k for _, _, k, _ in e[3]))
+    lines = []  # per Frobenius power, the side lines in side-table order
+    for f in sorted(tables):
+        src = [plane.frob_point_perms[f][i] for i in pts]
+        lines.append([plane.lines[plane.line_rows[src[a]][src[b]]]
+                      for b in range(len(src)) for a in range(b)])
+
+    def below(x: int) -> bool:
+        """Whether pts + [x] has an image below itself."""
+        if x <= pts[-1]:
+            raise ValueError(f"candidate {x} is not above the parent's last point {pts[-1]}")
+        logs = []  # per Frobenius power, the logs of x's conjugate on R's sides
+        for f, side_lines in enumerate(lines):
+            x0, x1, x2 = plane.points[plane.frob_point_perms[f][x]]
+            logs.append([log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                         for l0, l1, l2 in side_lines])
+        if None in logs[0]:
+            raise DegenerateSetError(f"candidate {x} lies on a secant of the parent")
+        target = head + [x]
+        offsets = []
+        for f, (i, j, l), _, frames in entries:
+            v = logs[f]
+            u1, u2 = (v[j] - v[i]) % m, (v[l] - v[i]) % m
+            offsets.append((u1, u2))
+            for d1, d2, k, image in frames:
+                y = row[u1 - d1] + exp[u2 - d2]
+                if y < target[k] or y == target[k] and sorted(image + [y]) < target:
+                    return True
+        # D = x maps x to the frame point target[0] = head[0]
+        tail = target[1:]
+        for (u1, u2), (_, _, pairs, _) in zip(offsets, entries):
+            if sorted([row[a - u1] + exp[b - u2] for a, b in pairs]) < tail:
+                return True
+        known = [[s + [e] for s, e in zip(tables[f], v)] for f, v in enumerate(logs)]
+        return _image_below(plane, pts + [x], target, group, known)
+
+    return [x for x in candidates if not below(x)]
 
 
 def _children_of(plane, group: str, rep: tuple[int, ...]) -> set:

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from pgarc.collineation import (
+    Collineation,
     DegenerateQuadrupleError,
     DegenerateSetError,
     IDENTITY,
@@ -23,6 +24,7 @@ from pgarc.collineation import (
     inverse,
     stabilizer,
     standard_frame,
+    _five_point_table,
 )
 import oracles
 from oracles import all_pgl_matrices_q2, collineation, group_closure, is_canonical, mask_image
@@ -373,6 +375,91 @@ def test_canonical_children_matches_is_canonical_at_full_order(q, group):
         parents.append(next(r for r in reps if stabilizer(pl, r, group)[1].order > 1))
         parents += rng.sample(reps, 2)
     assert _check_canonical_children(pl, group, parents) > 0
+
+
+FIVE_POINT_CASES = [(5, PGL), (7, PGL), (8, PGL), (8, PGAMMAL), (9, PGL), (9, PGAMMAL),
+                    (16, PGL), (16, PGAMMAL), (31, PGL), (32, PGL), (32, PGAMMAL)]
+
+
+@pytest.mark.parametrize("q, group", FIVE_POINT_CASES)
+def test_five_point_table_matches_the_per_point_oracle(q, group):
+    """c5[P] is the fifth point of the oracle's least image of frame + (P,)
+    for every P off the sides of the frame, and None on them.  onto[P]
+    lists distinct frames, each carrying frame + (P,) onto
+    frame + (c5[P],), as many as that 5-arc's stabilizer has elements.
+    The table is built once per plane and group."""
+    pl = get_plane(q)
+    frame = standard_frame(pl)
+    c5, onto = _five_point_table(pl, group)
+    assert _five_point_table(pl, group)[0] is c5
+    on_sides = pl.secant_mask(frame)
+    stab_orders = {}
+    for p in range(pl.size):
+        if on_sides >> p & 1:
+            assert c5[p] is None and onto[p] is None
+            continue
+        five = frame + (p,)
+        least = oracles.sweep_canonicalize(pl, five, group).canon[4]
+        assert c5[p] == least, (q, group, p)
+        if least not in stab_orders:
+            stab_orders[least] = len(stabilizer(pl, frame + (least,), group)[0])
+        assert len(set(onto[p])) == len(onto[p]) == stab_orders[least]
+        for f, tau in onto[p]:
+            quad = [pl.frob_point_perms[f][five[t]] for t in tau]
+            g = Collineation(frame_map(pl, quad).matrix, f)
+            assert {apply(pl, g, x) for x in five} == set(frame + (least,))
+
+
+@pytest.mark.parametrize("q, group", FIVE_POINT_CASES)
+def test_fifth_point_of_the_least_image_is_the_least_c5(q, group):
+    """The lemma behind the guided frames: for seeded random arcs S of 5
+    to 9 points, canonicalize(S).canon[4], like the oracle's, is the least
+    c5 over the 5-subsets T of S, with c5(T) read from the table at the
+    image of T's fifth point under the frame map of the other four."""
+    pl = get_plane(q)
+    c5, _ = _five_point_table(pl, group)
+    rng = random.Random(f"lemma:{q}:{group}")
+    sizes = []
+    for n in range(5, 10):
+        for _ in range(2):
+            arc = oracles.random_arc(pl, rng, max_size=n)
+            if len(arc) < 5:
+                continue
+            sizes.append(len(arc))
+            least = min(c5[apply(pl, frame_map(pl, t[:4]), t[4])] for t in combinations(arc, 5))
+            canon = canonicalize(pl, arc, group).canon
+            assert canon == oracles.sweep_canonicalize(pl, arc, group).canon
+            assert canon[4] == least, (q, group, arc)
+    assert min(sizes) == 5 and max(sizes) >= min(8, q + 1)
+
+
+@pytest.mark.parametrize("q, group, sample", [
+    (13, PGL, None), (16, PGAMMAL, None), (31, PGL, None), (32, PGAMMAL, 25),
+])
+def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
+    """canonical_children against the full-sweep oracle
+    sweep_canonical_children on every child above three seeded parents:
+    a random representative of 5 points, one of 6 with a nontrivial
+    stabilizer, and a random canonical child of a random representative
+    of 6.  canonicalize against the least of frame_images on every such
+    child, or on a seeded sample of them per parent where the 5
+    Frobenius powers make each full sweep slow."""
+    pl = get_plane(q)
+    rng = random.Random(f"guided:{q}:{group}")
+    five, six = (lv.representatives for lv in classification(q, group, 6)[1:])
+    six = rng.sample(six, len(six))
+    fixed = next(r for r in six if stabilizer(pl, r, group)[1].order > 1)
+    seven = next(r + (x,) for r in six
+                 for x in rng.sample(oracles.sweep_canonical_children(pl, r, _children_above(pl, r), group), 1))
+    for parent in (rng.choice(five), fixed, seven):
+        above = _children_above(pl, parent)
+        want = oracles.sweep_canonical_children(pl, parent, above, group)
+        assert canonical_children(pl, parent, above, group) == want, (q, group, parent)
+        for x in above if sample is None else rng.sample(above, sample):
+            child = parent + (x,)
+            form = canonicalize(pl, child, group)
+            assert form.canon == min(frame_images(pl, child, group)), (q, group, child)
+            assert tuple(sorted(apply(pl, form.witness, p) for p in child)) == form.canon
 
 
 def test_canonical_children_refuses_what_it_cannot_test():

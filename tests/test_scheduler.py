@@ -173,9 +173,10 @@ def test_task_is_an_index_range_whatever_the_level_size(imap_tasks, stealing):
 
 
 def test_pool_has_one_worker_per_non_empty_range(monkeypatch):
-    """A partition with one non-empty range runs its jobs inline and starts
-    no pool, with stealing too; otherwise the pool has one worker per
-    non-empty range."""
+    """A run with at most one job, or a partition with one share, runs its
+    jobs inline and starts no pool, with stealing too; otherwise the pool
+    has one worker per share, but no more than there are jobs, so 3
+    parents on 3 workers start 3 even where a range is empty."""
     pools = []
 
     def spy(processes, *args):
@@ -191,7 +192,35 @@ def test_pool_has_one_worker_per_non_empty_range(monkeypatch):
         assert pools == []
     assert run_jobs(partition(3, DECAY_SPLIT), _square) == [0, 1, 4]
     assert run_jobs(partition(57, DECAY_SPLIT), _square, stealing=True)[-1] == 56 * 56
-    assert pools == [2, 4]
+    assert pools == [3, 4]
+    three = partition(3, equal_proportions(3))
+    assert sizes(three) == [0, 1, 2]
+    assert run_jobs(three, _square) == [0, 1, 4]
+    assert pools == [3, 4, 3]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop_at(limit, seen, result):
+    seen.append(result)
+    if len(seen) == limit:
+        raise _Stop(f"stopped after {seen}")
+
+
+@pytest.mark.parametrize("props", [(100,), (50, 50)])
+def test_each_sees_results_in_order_and_can_stop_the_run(props):
+    """each is called on every result in index order, inline and with
+    workers; when it raises, the run stops there, and no worker process
+    is left running."""
+    seen = []
+    assert run_jobs(partition(20, props), _square, each=seen.append) == seen
+    assert seen == [i * i for i in range(20)]
+    seen = []
+    with pytest.raises(_Stop, match=r"stopped after \[0, 1, 4\]$"):
+        run_jobs(partition(200, props), _square, each=functools.partial(_stop_at, 3, seen))
+    assert multiprocessing.active_children() == []
 
 
 def test_equal_proportions_sum():

@@ -329,6 +329,22 @@ def test_memory_budget(tmp_path):
         ]
 
 
+def test_memory_budget_stops_the_workers_at_the_first_chunk_over_it():
+    """At q = 31 the first of the eleven 5-arc parents has 328 of the 905
+    canonical 6-arcs.  With a budget of 100 the level stops at that
+    parent's chunk as it arrives: 1 and 2 workers raise the same message,
+    and no worker process is left running."""
+    from pgarc.search import MemoryBudgetExceededError
+
+    message = "^level 6 reached 328 classes, over the budget of 100$"
+    for workers in (1, 2):
+        cfg = SearchConfig(q=31, classification_threshold=6, worker_count=workers,
+                           max_level_classes=100)
+        with pytest.raises(MemoryBudgetExceededError, match=message):
+            classify(cfg, get_plane(31))
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "q, group, threshold",
     [(5, PGL, 7), (7, PGL, 9), (9, PGL, 11), (11, PGL, 13),
