@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import certificates, search
-from .collineation import GROUPS, PGAMMAL, PGL, generating_subset, stabilizer
+from .collineation import GROUPS, PGAMMAL, PGL, DegenerateSetError, generating_subset, stabilizer
 from .gf import FieldError, factor_prime_power
 from .plane import CapacityExceededError
 from .search import CheckpointError, MemoryBudgetExceededError, SearchConfig
@@ -127,7 +127,10 @@ def _cmd_verify(args) -> int:
 def _cmd_stabilizer(args) -> int:
     cert = _load_certificate(args.certificate)
     plane, ids = certificates.certificate_plane(cert)
-    elements, structure = stabilizer(plane, ids, cert.group)
+    try:
+        elements, structure = stabilizer(plane, ids, cert.group)
+    except DegenerateSetError as exc:
+        raise _UsageError(str(exc))
     print(f"order: {structure.order}")
     print(f"name: {structure.name}")
     print("generators:")

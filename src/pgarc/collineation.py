@@ -14,13 +14,13 @@ complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
 of them, canonical_children tests the children of a canonical arc, and
-stabilizer keeps the maps onto the set itself.  The full sweeps run on
-one kernel, _frame_sweep.  For each unordered non-collinear triple T it
-evaluates the three sides of T at every point of the set once; the 6
-orderings of T only permute those values, and the frame map of (T, D)
-divides them by their values at D.  In discrete logarithms that is two
-subtractions and two table lookups per image point, with no matrix and
-no normalization.
+stabilizer keeps the maps onto one image of the set.  All of them image
+frames through one kernel, _frames, which takes a list of frames or
+every ordered frame.  It groups frames by Frobenius power and triangle
+T, evaluates the three sides of T at every point of the set once, and
+the frame map of (T, D) divides those values by their values at D.  In
+discrete logarithms that is two subtractions and two table lookups per
+image point, with no matrix and no normalization.
 
 Canonical forms image only the frames that can reach the least image,
 chosen by a five-point invariant.  For a 5-arc T let c5(T) =
@@ -226,6 +226,13 @@ def frame_map(plane: Plane, quad) -> Collineation:
     return Collineation(_normalize_matrix(field, rows), 0)
 
 
+def _frame_element(plane: Plane, pts, f: int, quad) -> Collineation:
+    """The group element of a frame (f, quad) of pts: Frobenius power f,
+    then the frame map of the conjugates of the points at positions quad."""
+    perm = plane.frob_point_perms[f]
+    return Collineation(frame_map(plane, tuple(perm[pts[i]] for i in quad)).matrix, f)
+
+
 def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
     """side[a, b] for each pair of positions a < b in pairs: the logs of
     the line through the conjugates of pts[a] and pts[b] under Frobenius
@@ -245,72 +252,69 @@ def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
     return side
 
 
-def _frame_sweep(plane: Plane, pts, group: str):
-    """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates.
+def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
+    """The kernel of every image this module takes: the frame maps of a
+    point set in log coordinates, grouped by Frobenius power f and
+    ordered triangle.  For a triangle of positions V0, V1, V2 let w_i(x)
+    be the value at the conjugate of pts[x] of the side opposite V_i (a
+    row of adj[V0|V1|V2], up to scalars); the frame map of (V2, V1, V0,
+    D) sends x to (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
+    (f, (V2, V1, V0), offs, ds): offs maps each position x off the sides
+    to (r1(x), r2(x)), r_i = log w_i - log w0 mod q-1, so x lands at
+    plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)] for each
+    position D in ds.
 
-    For each Frobenius power f, each non-collinear triple of the image
-    set and each of its 6 orderings V0, V1, V2, let w_i(x) be x's value
-    on the side opposite V_i: the rows of adj[V0|V1|V2], up to scalars.
-    The frame map of (V2, V1, V0, D) sends x to
-    (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
-    (f, (V2, V1, V0), ids, r1, r2, odd): ids are the other points off
-    every side, each a valid D, with r_i = log w_i - log w0 mod q-1, so
-    x lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)]; odd
-    holds (log w0, log w1, log w2) of the other points on a side, None
-    for a zero.  Sides are evaluated once per point pair (_side_logs),
-    not per quad.
+    frames lists the (f, (V2, V1, V0, D)) wanted, positions of an arc;
+    sides[f], a side table at hand, is read before any of their sides
+    is evaluated (_side_logs).  frames None asks for every ordered frame
+    of pts under group, and then the side-log differences are found once
+    per unordered triangle, whose 6 orderings only permute them.
     """
-    m = plane.q - 1
-    k = len(pts)
-    for f in range(plane.field.h) if group == PGAMMAL else range(1):
-        perm = plane.frob_point_perms[f]
-        src = [perm[i] for i in pts]
-        side = _side_logs(plane, pts, f, combinations(range(k), 2))
-        for tri in combinations(range(k), 3):
-            a, b, c = tri
-            w0, w1, w2 = side[b, c], side[a, c], side[a, b]  # opposite a, b, c
-            if w0[a] is None:
-                continue  # collinear triple: no frame
-            rest = [(w0[x], w1[x], w2[x], src[x]) for x in range(k) if x not in tri]
-            good = [p for p in rest if None not in p]
-            odd = [p for p in rest if None in p]
-            ids = [p[3] for p in good]
-            rel = {(i, j): [(p[j] - p[i]) % m for p in good] for i, j in permutations(range(3), 2)}
-            for i, j, l in permutations(range(3)):
-                corners = (src[tri[l]], src[tri[j]], src[tri[i]])
-                yield f, corners, ids, rel[i, j], rel[i, l], [(p[i], p[j], p[l]) for p in odd]
-
-
-def _frame_tails(plane: Plane, pts, frames, sides=None):
-    """The guided frames of an arc, one by one: (f, quad, tail) for each
-    (f, quad) in frames, quad the positions in pts of (V2, V1, V0, D) as
-    in _frame_sweep, and tail the sorted image of the points off the
-    triangle under that frame map after Frobenius power f.  sides[f],
-    a side table at hand, is read before any side is evaluated."""
-    m = plane.q - 1
-    row, exp = plane.affine_row, plane.field.exp
-    k = len(pts)
+    m, k = plane.q - 1, len(pts)
+    if frames is None:
+        for f in range(plane.field.h) if group == PGAMMAL else range(1):
+            side = _side_logs(plane, pts, f, combinations(range(k), 2))
+            for tri in combinations(range(k), 3):
+                a, b, c = tri
+                w = side[b, c], side[a, c], side[a, b]  # opposite a, b, c
+                if w[0][a] is None:
+                    continue  # collinear triple: no frame
+                xs = [x for x in range(k) if None not in (w[0][x], w[1][x], w[2][x])]
+                rel = {}  # rel[i, j] = [log w_j - log w_i at x for x in xs]
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    rel[i, j] = [(w[j][x] - w[i][x]) % m for x in xs]
+                    rel[j, i] = [-r % m for r in rel[i, j]]
+                for i, j, l in permutations(range(3)):
+                    yield f, (tri[l], tri[j], tri[i]), dict(zip(xs, zip(rel[i, j], rel[i, l]))), xs
+        return
+    wanted: dict = {}  # (f, V2, V1, V0) -> (the sides opposite V0, V1, V2, [D, ...])
     needed: dict = {}
-    for f, (v2, v1, v0, _) in frames:
-        needed.setdefault(f, set()).update(
-            (u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1)))
-    tables = {f: _side_logs(plane, pts, f, pairs, sides and sides.get(f))
-              for f, pairs in needed.items()}
-    for f, quad in frames:
-        v2, v1, v0, d = quad
+    for f, (v2, v1, v0, d) in frames:
+        key = f, v2, v1, v0
+        entry = wanted.get(key)
+        if entry is None:
+            w = ((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
+                 (v0, v1) if v0 < v1 else (v1, v0))
+            entry = wanted[key] = w, []
+            needed.setdefault(f, set()).update(w)
+        entry[1].append(d)
+    tables = {f: _side_logs(plane, pts, f, pairs, sides and sides.get(f)) for f, pairs in needed.items()}
+    for (f, v2, v1, v0), ((p0, p1, p2), ds) in wanted.items():
         side = tables[f]
-        w0, w1, w2 = (side[(u, v) if u < v else (v, u)] for u, v in ((v1, v2), (v0, v2), (v0, v1)))
-        d1, d2 = w1[d] - w0[d], w2[d] - w0[d]
-        yield f, quad, sorted([row[(w1[x] - w0[x] - d1) % m] + exp[(w2[x] - w0[x] - d2) % m]
-                               for x in range(k) if x != v0 and x != v1 and x != v2])
+        w0, w1, w2 = side[p0], side[p1], side[p2]
+        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) % m, (w2[x] - w0[x]) % m)
+                                for x in range(k) if x != v0 and x != v1 and x != v2}, ds
 
 
-def _side_point_image(plane: Plane, logs, d1: int, d2: int) -> int:
-    """Image of an odd point of _frame_sweep under the frame map with fourth
-    point D: (g^l0, g^(l1 - d1), g^(l2 - d2)), a None log giving a 0."""
-    exp = plane.field.exp
-    y = (0 if l is None else exp[(l - d) % len(exp)] for l, d in zip(logs, (0, d1, d2)))
-    return plane.point_id(tuple(y))
+def _tails(plane: Plane, pts, group: str, frames=None, sides=None):
+    """(f, (V2, V1, V0), D, offs, tail) for each frame of _frames(plane,
+    pts, group, frames, sides): tail is the sorted image of the points
+    off the sides of the triangle."""
+    row, exp = plane.affine_row, plane.field.exp
+    for f, tri, offs, ds in _frames(plane, pts, group, frames, sides):
+        for d in ds:
+            d1, d2 = offs[d]
+            yield f, tri, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
 
 
 def _arc_points(plane: Plane, points, group: str) -> list[int]:
@@ -341,10 +345,7 @@ def frame_images(plane: Plane, arc, group: str = PGL):
     """
     pts = _arc_points(plane, arc, group)
     head = standard_frame(plane)[:3]
-    row, exp = plane.affine_row, plane.field.exp
-    return (head + tuple(sorted([row[a - d1] + exp[b - d2] for a, b in pairs]))
-            for _, _, _, r1, r2, _ in _frame_sweep(plane, pts, group)
-            for pairs in [list(zip(r1, r2))] for d1, d2 in pairs)
+    return (head + tuple(tail) for _, _, _, _, tail in _tails(plane, pts, group))
 
 
 _FIVE_POINT_TABLES = weakref.WeakKeyDictionary()  # plane -> {group: (c5, onto)}
@@ -375,34 +376,19 @@ def _five_point_table(plane: Plane, group: str):
         for p in range(plane.size):
             if c5[p] is not None or on_sides >> p & 1:
                 continue
-            rep = frame + (p,)
-            for f, corners, ids, r1, r2, _ in _frame_sweep(plane, rep, group):
-                pos = {plane.frob_point_perms[f][v]: i for i, v in enumerate(rep)}
-                for d, t in ((0, 1), (1, 0)):
-                    y = row[r1[t] - r1[d]] + exp[r2[t] - r2[d]]
-                    # g carries rep[order[i]] to the i-th point of frame + (y,)
-                    order = [pos[v] for v in (*corners, ids[d], ids[t])]
-                    if c5[y] is None:
-                        c5[y], onto[y] = p, []
-                    onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
+            for f, tri, offs, ds in _frames(plane, frame + (p,), group):
+                for d in ds:
+                    d1, d2 = offs[d]
+                    for t, (a, b) in offs.items():
+                        if t != d:
+                            y = row[a - d1] + exp[b - d2]
+                            # g carries position order[i] of frame + (p,) to the i-th point of frame + (y,)
+                            order = (*tri, d, t)
+                            if c5[y] is None:
+                                c5[y], onto[y] = p, []
+                            onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
         tables[group] = tuple(c5), tuple(o and tuple(o) for o in onto)
     return tables[group]
-
-
-def _quad_frames(plane: Plane, side, k: int) -> list:
-    """One frame map per 4-subset of an arc of k points, from its side
-    table at f = 0: per triangle a < b < c, its sides opposite a, b, c
-    and (d, r1(d), r2(d)) for each d > c.  The frame (V2, V1, V0, D) =
-    (c, b, a, d) sends a point whose log differences on those sides are
-    (u1, u2) to affine_row[u1 - r1(d)] + exp[u2 - r2(d)] (_frame_sweep)."""
-    m = plane.q - 1
-    quads = []
-    for a, b, c in combinations(range(k), 3):
-        w = (b, c), (a, c), (a, b)
-        w0, w1, w2 = (side[p] for p in w)
-        quads.append(((a, b, c), w, [(d, (w1[d] - w0[d]) % m, (w2[d] - w0[d]) % m)
-                                     for d in range(c + 1, k)]))
-    return quads
 
 
 def _onto(labels, five) -> list:
@@ -412,22 +398,29 @@ def _onto(labels, five) -> list:
     return [(f, tuple(five[t] for t in tau)) for f, tau in labels]
 
 
-def _least_fives(plane: Plane, group: str, quads):
-    """The least c5 over the 5-subsets of an arc, from its _quad_frames,
-    and the guided frames: those that carry a 5-subset with that c5
+def _least_fives(plane: Plane, pts, group: str, sides):
+    """(least, guided, quads) for an arc pts and its side tables at
+    hand: quads the records of _frames for one frame map (c, b, a, d)
+    per 4-subset at f = 0, positions a < b < c < d, least the least c5
+    over the 5-subsets that they find (plane.size if there is none), and
+    guided the guided frames, those that carry a 5-subset with that c5
     onto frame + (c5,)."""
+    quads = list(_frames(plane, pts, PGL, [(0, (c, b, a, d)) for a, b, c, d
+                                          in combinations(range(len(pts)), 4)], sides))
     c5, onto = _five_point_table(plane, group)
     row, exp = plane.affine_row, plane.field.exp
     least, reached = plane.size, []
-    for (a, b, c), _, offs in quads:
-        for i, (d, d1, d2) in enumerate(offs):
-            for e, e1, e2 in offs[i + 1:]:
+    for _, tri, offs, ds in quads:
+        for i, d in enumerate(ds):
+            d1, d2 = offs[d]
+            for e in ds[i + 1:]:
+                e1, e2 = offs[e]
                 y = row[e1 - d1] + exp[e2 - d2]
                 if c5[y] <= least:
                     if c5[y] < least:
                         least, reached = c5[y], []
-                    reached.append((y, (c, b, a, d, e)))
-    return least, [g for y, five in reached for g in _onto(onto[y], five)]
+                    reached.append((y, (*tri, d, e)))
+    return least, [g for y, five in reached for g in _onto(onto[y], five)], quads
 
 
 def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalForm:
@@ -446,18 +439,15 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     """
     pts = _arc_points(plane, points, group)
     k = len(pts)
-    side = _side_logs(plane, pts, 0, combinations(range(k), 2))
+    sides = {0: _side_logs(plane, pts, 0, combinations(range(k), 2))}
     frames = [(0, (0, 1, 2, 3))]
     if k > 4:
-        frames = _least_fives(plane, group, _quad_frames(plane, side, k))[1]
+        frames = _least_fives(plane, pts, group, sides)[1]
     best = [plane.size]  # above every index, so the first image wins
-    for f, quad, tail in _frame_tails(plane, pts, frames, {0: side}):
+    for f, tri, d, _, tail in _tails(plane, pts, group, frames, sides):
         if tail < best:
-            best, best_f, best_quad = tail, f, quad
-    perm = plane.frob_point_perms[best_f]
-    witness = frame_map(plane, tuple(perm[pts[i]] for i in best_quad))
-    return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best),
-                                 Collineation(witness.matrix, best_f))
+            best, witness = tail, (f, (*tri, d))
+    return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), _frame_element(plane, pts, *witness))
 
 
 def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> list[int]:
@@ -490,16 +480,13 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     log, mt, at = field.log, field.mul_flat, field.add_flat
     row, exp = plane.affine_row, field.exp
     c5, onto = _five_point_table(plane, group)
-    sides = [_side_logs(plane, pts, f, combinations(range(k), 2))
-             for f in (range(field.h) if group == PGAMMAL else range(1))]
-    quads = _quad_frames(plane, sides[0], k)
-    least, frames = _least_fives(plane, group, quads)
+    sides = {f: _side_logs(plane, pts, f, combinations(range(k), 2))
+             for f in (range(field.h) if group == PGAMMAL else range(1))}
+    least, frames, quads = _least_fives(plane, pts, group, sides)
     head = pts[3:]
-    own = []  # R's guided frames: (f, the pairs of their sides, D's offsets, tail of R)
-    for f, (v2, v1, v0, d), tail in _frame_tails(plane, pts, frames, dict(enumerate(sides))):
-        w = [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))]
-        w0, w1, w2 = (sides[f][p] for p in w)
-        own.append((f, w, w1[d] - w0[d], w2[d] - w0[d], tail))
+    # R's guided frames: (f, the pairs of their sides, D's offsets, tail of R)
+    own = [(f, [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))], offs[d], tail)
+           for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, group, frames, sides)]
     if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
         return []
     lines = [[(p, plane.lines[plane.line_rows[perm[pts[p[0]]]][perm[pts[p[1]]]]]) for p in sides[0]]
@@ -520,10 +507,11 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
             raise DegenerateSetError(f"candidate {x} lies on a secant of the parent")
         m0 = pts[4] if k > 4 else x
         guided = []
-        for (a, b, c), (p0, p1, p2), offs in quads:
-            v = logs[p0]
-            u1, u2 = (logs[p1] - v) % m, (logs[p2] - v) % m
-            for d, d1, d2 in offs:
+        for _, (c, b, a), offs, ds in quads:
+            v = logs[b, c]
+            u1, u2 = (logs[a, c] - v) % m, (logs[a, b] - v) % m
+            for d in ds:
+                d1, d2 = offs[d]
                 y = row[u1 - d1] + exp[u2 - d2]
                 if c5[y] < m0:
                     return True
@@ -531,13 +519,13 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
                     guided += _onto(onto[y], (c, b, a, d, k))
         target = head + [x]
         xlogs = [logs] + [logs_at(f, x) for f in range(1, len(sides))]
-        for f, (p0, p1, p2), d1, d2, tail in own:
+        for f, (p0, p1, p2), (d1, d2), tail in own:
             v = xlogs[f]
             y = row[(v[p1] - v[p0] - d1) % m] + exp[(v[p2] - v[p0] - d2) % m]
             if sorted(tail + [y]) < target:
                 return True
         known = {f: {p: s + [xlogs[f][p]] for p, s in sides[f].items()} for f in {f for f, _ in guided}}
-        return any(tail < target for _, _, tail in _frame_tails(plane, pts + [x], guided, known))
+        return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], group, guided, known))
 
     return [x for x in candidates if not below(x)]
 
@@ -545,37 +533,45 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
 def stabilizer(plane: Plane, points, group: str = PGL):
     """Full setwise stabilizer of a point set within the configured group.
 
-    Fixes one ordered general-position quadruple Q0 of the set; every
-    stabilizing element must carry some ordered 4-subset onto Q0, so
-    sweeping frame maps of all ordered 4-subsets (per Frobenius power)
-    finds every element exactly once.  Exact on sets that are not arcs.
+    Let C be a set of candidate maps that holds g1 o Stab(S) for its
+    first member g1.  Then Stab(S) = g1^-1 o {g in C : g(S) = g1(S)}:
+    each such g1^-1 o g fixes S, and each s in Stab(S) is g1^-1 o g1 o s.
+    For an arc of at least 5 points C is its guided frames (module
+    docstring): Stab(S) permutes the 5-subsets of S and keeps their c5,
+    so g1 o s carries s^-1(T) onto frame + (c5,) when g1 carries T
+    there.  Otherwise C is every ordered frame of S.  A candidate is
+    kept when every point off the sides of its triangle lands in g1(S),
+    tested up to the first miss, and then so do the points on a side,
+    by apply: exact on sets that are not arcs.  Fewer than 4 points, or
+    no 4 in general position, raise DegenerateSetError.
     """
     _check_group(group)
     pts = sorted(set(points))
     if len(pts) < 4:
         raise DegenerateSetError("stabilizer needs at least 4 points")
     field = plane.field
-    for quad in combinations(pts, 4):
-        if plane.collinear_triple(quad) is None:
-            base = frame_map(plane, quad)
-            break
-    else:
-        raise DegenerateSetError("no 4-subset in general position")
-    target = {apply(plane, base, i) for i in pts}
-    back = inverse(field, base)
-
+    frames = sides = None
+    if len(pts) > 4 and plane.collinear_triple(pts) is None:
+        sides = {0: _side_logs(plane, pts, 0, combinations(range(len(pts)), 2))}
+        frames = _least_fives(plane, pts, group, sides)[1]
     row, exp = plane.affine_row, field.exp
-    elements = []
-    for f, corners, ids, r1, r2, odd in _frame_sweep(plane, pts, group):
-        pairs = list(zip(r1, r2))
-        for d, d1, d2 in zip(ids, r1, r2):
+    target, elements = None, []
+    for f, tri, offs, ds in _frames(plane, pts, group, frames, sides):
+        if target is None and ds:  # the first candidate: g1
+            g1 = _frame_element(plane, pts, f, (*tri, ds[0]))
+            target, back = {apply(plane, g1, x) for x in pts}, inverse(field, g1)
+        pairs = offs.values()
+        for d in ds:
+            d1, d2 = offs[d]
             for a, b in pairs:
                 if row[a - d1] + exp[b - d2] not in target:
                     break
             else:
-                if all(_side_point_image(plane, x, d1, d2) in target for x in odd):
-                    g = frame_map(plane, (*corners, d))
-                    elements.append(compose(field, back, Collineation(g.matrix, f)))
+                g = _frame_element(plane, pts, f, (*tri, d))
+                if all(apply(plane, g, x) in target for i, x in enumerate(pts) if i not in offs and i not in tri):
+                    elements.append(compose(field, back, g))
+    if target is None:
+        raise DegenerateSetError("no 4-subset in general position")
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
 

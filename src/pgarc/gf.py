@@ -111,20 +111,9 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 
 def _exp_walk(p: int, h: int, modulus: tuple[int, ...]) -> list[int] | None:
     """Codes of root^k for k in [0, q-1), or None if the root's
-    multiplicative order is not exactly q-1 (brute-force order check)."""
+    multiplicative order is not exactly q-1 (brute-force order check).
+    At degree 1 the root is -m0, and the walk multiplies by it mod p."""
     q = p**h
-    if h == 1:
-        root = (-modulus[0]) % p
-        if root == 0:
-            return None
-        exp = [1]
-        cur = 1
-        for _ in range(1, q - 1):
-            cur = cur * root % p
-            if cur == 1:
-                return None
-            exp.append(cur)
-        return exp if cur * root % p == 1 else None
     exp = [1]
     cur = [1] + [0] * (h - 1)
     for k in range(q - 1):

@@ -52,17 +52,16 @@ class CheckpointError(ValueError):
 class SearchConfig:
     """Knobs of a classification + extension run.
 
-    proportions and stealing no longer shape the dispatch
-    (scheduler.run_jobs): proportions, one positive share per worker
-    summing to 100, only sets how many workers a level starts, one per
-    share but no more than the level has parents; stealing is ignored.
+    worker_count, from 1 to 100 (one equal share of 100 each), is how
+    many workers a level starts, but no more than the level has parents;
+    stealing no longer shapes the dispatch (scheduler.run_jobs) and is
+    ignored.
     """
 
     q: int
     group: str = PGL
     classification_threshold: int = 8
     worker_count: int = 1
-    proportions: tuple[int, ...] | None = None  # None: equal_proportions
     stealing: bool = False
     checkpoint_dir: str | None = None
     max_level_classes: int | None = None
@@ -75,13 +74,8 @@ class SearchConfig:
                 f"need classification_threshold >= 4, got {self.classification_threshold}"
             )
         factor_prime_power(self.q)  # raises for non prime powers
-        if self.worker_count < 1:
-            raise ValueError(f"need worker_count >= 1, got {self.worker_count}")
-        if self.proportions is None:
-            self.proportions = scheduler.equal_proportions(self.worker_count)
-        self.proportions = scheduler.check_proportions(self.proportions)
-        if len(self.proportions) != self.worker_count:
-            raise ValueError("need one proportion per worker")
+        if not 1 <= self.worker_count <= 100:
+            raise ValueError(f"need 1 <= worker_count <= 100, got {self.worker_count}")
 
 
 @dataclass
@@ -138,7 +132,7 @@ def _map_reps(config: SearchConfig, fn, reps, each=None) -> list:
     else by scheduler.run_jobs over config.worker_count workers.  each,
     if given, is called on every result in order as soon as it is in."""
     if config.worker_count > 1 and len(reps) > 1:
-        part = scheduler.partition(len(reps), config.proportions)
+        part = scheduler.partition(len(reps), scheduler.equal_proportions(config.worker_count))
         job = functools.partial(_apply_at, fn, tuple(reps))
         return scheduler.run_jobs(part, job, stealing=config.stealing, each=each)
     results = []

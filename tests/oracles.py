@@ -521,8 +521,9 @@ def sweep_stabilizer(plane, points, group: str = PGL):
 
 def logged_frame_sweep(plane, pts, group: str, known=None):
     """Every ordered frame (V2, V1, V0, D) of a point set, in log coordinates:
-    the sweep of collineation._frame_sweep as it was before the five-point
-    table guided canonical forms, with its side tables in the output.
+    the all-frames sweep of pgarc.collineation as it was before the
+    five-point table guided canonical forms, with its side tables in the
+    output.
 
     For each Frobenius power f, each non-collinear triple of the image
     set and each of its 6 orderings V0, V1, V2, let w_i(x) be x's value

@@ -105,8 +105,9 @@ def test_criterion_4_certificate_verification(report):
 
 
 def test_criterion_5_gf32_polynomial_resolution(report):
-    """Six-candidate sweep; live run agrees with the committed report;
-    validating candidates become the fixture default."""
+    """Six-candidate sweep; live run agrees with the committed report,
+    byte for byte but for sweep_seconds; validating candidates become the
+    fixture default."""
     z4 = load_fixture("arc14_q32_z4")
     z5 = load_fixture("arc14_q32_z5")
     passing, live = resolve_gf32_polynomial(
@@ -117,6 +118,9 @@ def test_criterion_5_gf32_polynomial_resolution(report):
     assert committed["passing"] == live["passing"]
     for got, want in zip(live["candidates"], committed["candidates"]):
         assert got == want
+    # byte for byte, with the committed run time
+    live["sweep_seconds"] = committed["sweep_seconds"]
+    assert json.dumps(live, indent=2) + "\n" == fixture_text("gf32_resolution")
     # every validating candidate is a fixture default and reverifies fully
     assert [list(m) for m in passing] == live["passing"]
     assert list(z4.modulus) in live["passing"]
@@ -208,13 +212,12 @@ def test_criterion_7_invariant_suites(report):
 
     # scheduler determinism: q=11 extension run, 1 worker vs 4 workers
     outputs = []
-    for workers, props in ((1, None), (4, (10, 20, 30, 40))):
+    for workers in (1, 4):
         cfg = SearchConfig(
             q=11,
             group=PGL,
             classification_threshold=5,
             worker_count=workers,
-            proportions=props,
         )
         result = min_complete_size(cfg, get_plane(11))
         outputs.append(

@@ -9,6 +9,7 @@ import pytest
 from pgarc.certificates import (
     FieldMismatchError,
     MalformedCertificateError,
+    certificate_plane,
     fixture_text,
     load_fixture,
     make_certificate,
@@ -24,8 +25,14 @@ ARC_FIXTURES = ["arc14_q31_s3", "arc14_q32_z4", "arc14_q32_z5"]
 
 @pytest.mark.parametrize("name", ARC_FIXTURES)
 def test_bundled_certificates_verify(name):
-    report = verify(load_fixture(name))
+    """Each fixture verifies, and its claims recomputed from its points
+    give back its bytes."""
+    cert = load_fixture(name)
+    report = verify(cert)
     assert report.valid, report.failures
+    plane, ids = certificate_plane(cert)
+    again = make_certificate(plane, cert.group, ids, meta=cert.meta)
+    assert serialize_certificate(again) == fixture_text(name)
 
 
 def test_fixture_claims():
@@ -328,6 +335,29 @@ def test_cli_stabilizer(tmp_path):
     assert lines[1] == "name: S3"
     gens = [json.loads(line) for line in lines[3:]]
     assert gens and all(g["frob"] == 0 for g in gens)
+
+
+def test_cli_stabilizer_rejects_sets_without_a_frame(tmp_path, capsys):
+    """Three points of PG(2,7), or five with no 4 in general position,
+    have no stabilizer to compute: verify finds their certificates VALID
+    with order 0 and name "unknown", and stabilizer rejects them with
+    the reason on stderr and exit 2."""
+    from pgarc import cli
+
+    pl = get_plane(7)
+    frame = standard_frame(pl)
+    line = pl.points_on_line[pl.line_through(frame[0], frame[1])]
+    for ids, reason in ((frame[:3], "stabilizer needs at least 4 points"),
+                        ((*line[:4], frame[2]), "no 4-subset in general position")):
+        cert = make_certificate(pl, PGL, ids)
+        assert (cert.claims["stabilizer_order"], cert.claims["stabilizer_name"]) == (0, "unknown")
+        path = tmp_path / "degenerate.json"
+        path.write_text(serialize_certificate(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+        assert cli.main(["stabilizer", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
 
 
 @pytest.mark.parametrize("case", ["code-outside-field", "repeated-point"])

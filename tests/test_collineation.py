@@ -482,26 +482,41 @@ def test_canonical_children_refuses_what_it_cannot_test():
         canonical_children(pl, rep, [on_secant], PGL)
 
 
+def conic(plane):
+    """The conic of the points (1, t, t^2) and (0, 0, 1)."""
+    mul = plane.field.mul
+    return sorted(plane.point_id(pt) for pt in [(0, 0, 1)] + [(1, t, mul(t, t)) for t in range(plane.q)])
+
+
+def _check_stabilizer(pl, pts, group):
+    elements, structure = stabilizer(pl, pts, group)
+    ref_elements, ref_structure = oracles.sweep_stabilizer(pl, pts, group)
+    assert len(elements) == len(set(elements))
+    assert set(elements) == set(ref_elements), (pl.q, group, pts)
+    assert structure == ref_structure
+    return structure.order
+
+
 def test_log_domain_sweep_matches_ordered_quadruple_sweep():
     """Differential test against the frame-matrix-per-quadruple sweep:
     same canonical form, a witness onto it, same stabilizer elements on
-    arcs and on arcs plus one point on a secant."""
+    arcs of 4 to 9 points, on arcs plus one point on a secant, and on
+    conics, whose stabilizers PGL(2,q) (times the field automorphisms
+    under PGammaL) are the largest of any arc here."""
     cases = [(5, PGL), (7, PGL), (8, PGL), (8, PGAMMAL), (9, PGL), (9, PGAMMAL),
              (31, PGL), (32, PGL), (32, PGAMMAL)]
     for q, group in cases:
         pl = get_plane(q)
         rng = random.Random(f"sweep:{q}:{group}")
-        for n in range(4, 9):
+        for n in range(4, 10):
             arc = oracles.random_arc(pl, rng, max_size=n)
             form = canonicalize(pl, arc, group)
             assert form.canon == oracles.sweep_canonicalize(pl, arc, group).canon, (q, group, arc)
             assert tuple(sorted(apply(pl, form.witness, p) for p in arc)) == form.canon
             for pts in (arc, arc + [on_a_secant(pl, arc)]):
-                elements, structure = stabilizer(pl, pts, group)
-                ref_elements, ref_structure = oracles.sweep_stabilizer(pl, pts, group)
-                assert len(elements) == len(set(elements))
-                assert set(elements) == set(ref_elements), (q, group, pts)
-                assert structure == ref_structure
+                _check_stabilizer(pl, pts, group)
+    for q, group, order in ((7, PGL, 336), (8, PGAMMAL, 1512), (9, PGAMMAL, 1440), (11, PGL, 1320)):
+        assert _check_stabilizer(get_plane(q), conic(get_plane(q)), group) == order
 
 
 def test_frame_stabilizer_is_s4():

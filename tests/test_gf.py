@@ -11,8 +11,10 @@ from pgarc.gf import (
     NotIrreducibleError,
     NotPrimeError,
     NotPrimitiveError,
+    _exp_walk,
     build_field,
     factor_prime_power,
+    is_prime,
 )
 from support import get_field
 
@@ -216,3 +218,23 @@ def test_prime_field_tables_are_modular_integers():
             assert f.add(a, b) == (a + b) % 31
             assert f.sub(a, b) == (a - b) % 31
             assert f.mul(a, b) == a * b % 31
+
+
+def test_prime_field_exp_table_is_the_powers_of_minus_m0():
+    """Over GF(p) the root of x + m0 is -m0.  For every prime p <= 256 and
+    every m0, the exp walk of [m0, 1] is the list of powers of -m0 when
+    -m0 generates GF(p)*, else None; build_field gives that table for the
+    least and the greatest such m0 and rejects the modulus x (m0 = 0)."""
+    for p in filter(is_prime, range(2, MAX_ORDER + 1)):
+        primitive = []
+        for m0 in range(p):
+            powers = [pow(-m0 % p, k, p) for k in range(p - 1)]
+            if m0 and len(set(powers)) == p - 1:
+                primitive.append((m0, powers))
+                assert _exp_walk(p, 1, (m0, 1)) == powers, (p, m0)
+            else:
+                assert _exp_walk(p, 1, (m0, 1)) is None, (p, m0)
+        for m0, powers in (primitive[0], primitive[-1]):
+            assert build_field(p, 1, [m0, 1]).exp == powers, (p, m0)
+        with pytest.raises(NotPrimitiveError):
+            build_field(p, 1, [0, 1])

@@ -13,7 +13,6 @@ from pgarc.arcs import candidate_mask
 from pgarc.collineation import PGAMMAL, PGL, canonicalize, standard_frame
 from pgarc.gf import build_field
 from pgarc.plane import build_plane
-from pgarc.scheduler import BadProportionsError, equal_proportions
 from pgarc.search import (
     CheckpointError,
     ClassificationLevel,
@@ -57,24 +56,17 @@ def test_search_config_validation():
         SearchConfig(q=12)
     with pytest.raises(ValueError):
         SearchConfig(q=7, classification_threshold=3)
-    with pytest.raises(ValueError):
-        SearchConfig(q=7, worker_count=2, proportions=(100,))
 
 
-def test_worker_count_validated_and_proportions_resolved(capsys):
-    """A worker count below 1, or one that 100 cannot be split over, is
-    rejected by SearchConfig, so both commands exit 2 before any level
-    is computed; no worker process is started.  Without proportions the
-    config holds the equal split."""
+def test_worker_count_validated(capsys):
+    """A worker count outside 1..100, the counts that 100 can be split
+    over, is rejected by SearchConfig, so both commands exit 2 before any
+    level is computed; no worker process is started."""
     from pgarc import cli
 
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match="worker_count >= 1"):
+    for bad in (0, -2, 101):
+        with pytest.raises(ValueError, match="need 1 <= worker_count <= 100"):
             SearchConfig(q=7, worker_count=bad)
-    with pytest.raises(BadProportionsError):
-        SearchConfig(q=7, worker_count=101)
-    with pytest.raises(BadProportionsError):
-        SearchConfig(q=7, proportions=())
     for command in ("classify", "find-min"):
         for workers in ("0", "-2", "101"):
             capsys.readouterr()
@@ -82,9 +74,7 @@ def test_worker_count_validated_and_proportions_resolved(capsys):
             out, err = capsys.readouterr()
             assert (rc, out) == (2, ""), (command, workers)
             assert err.startswith("error: ")
-    assert SearchConfig(q=7).proportions == (100,)
-    assert SearchConfig(q=7, worker_count=3).proportions == equal_proportions(3)
-    assert SearchConfig(q=7, worker_count=2, proportions=[30, 70]).proportions == (30, 70)
+    assert SearchConfig(q=7, worker_count=100).worker_count == 100
 
 
 def test_level4_is_single_frame_class():
@@ -251,7 +241,7 @@ def test_corrupt_checkpoint_rejected(tmp_path, capsys, corrupt):
 
 WORKER_SETUPS = [
     dict(worker_count=1),
-    dict(worker_count=3, proportions=(10, 30, 60)),
+    dict(worker_count=2),
     dict(worker_count=3, stealing=True),
 ]
 
@@ -264,7 +254,7 @@ def alternative_plane_16():
 
 def test_classification_deterministic_across_workers():
     """Levels 6 and 7 at q = 11 grow from 2 and 15 parents, so the worker
-    path of classify runs, whatever the proportions and stealing; so does
+    path of classify runs, whatever the worker count and stealing; so does
     level 6 of PG(2,16) under a non-default modulus, from 4 parents."""
     for q, threshold, plane, counts in [(11, 7, None, [1, 2, 15, 21]),
                                         (16, 6, alternative_plane_16(), [1, 4, 61])]:
