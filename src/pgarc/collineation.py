@@ -39,15 +39,27 @@ h(S) that holds the frame and c5(T), so m <= c5(T).  Hence a frame map that
 reaches the least image carries a 5-subset with the least c5 onto
 frame + (m,), and the table lists exactly those maps for it (the
 guided frames): one per element of that 5-subset's stabilizer.
+
+Stabilizers image candidate frames too.  If a set C of maps holds
+g1 o Stab(S) for its first member g1, then Stab(S) is g1^-1 composed
+with the g in C that have g(S) = g1(S).  For an arc of at least 5
+points C is its guided frames.  For any other set C comes from a point
+invariant: inv(x) is the sorted sizes of the lines through x that hold
+at least 3 points of S.  A collineation carries the lines of S onto
+the lines of its image with as many points, so every s in Stab(S)
+keeps inv and general position.  C is every Frobenius power times the
+ordered 4-subsets in general position whose invariants are those of a
+fixed 4-subset Q0, position by position (_invariant_frames), and Q0 is
+taken among the rarest invariants, so few frames share them.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from .plane import Plane
+from .plane import Plane, PointRangeError, _sorted_distinct
 
 PGL = "pgl"
 PGAMMAL = "pgammal"
@@ -264,9 +276,9 @@ def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
     plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)] for each
     position D in ds.
 
-    frames lists the (f, (V2, V1, V0, D)) wanted, positions of an arc;
-    sides[f], a side table at hand, is read before any of their sides
-    is evaluated (_side_logs).  frames None asks for every ordered frame
+    frames lists the (f, (V2, V1, V0, D)) wanted, as positions of frames
+    of pts; sides[f], a side table at hand, is read before any of their
+    sides is evaluated (_side_logs).  frames None asks for every ordered frame
     of pts under group, and then the side-log differences are found once
     per unordered triangle, whose 6 orderings only permute them.
     """
@@ -302,8 +314,8 @@ def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
     for (f, v2, v1, v0), ((p0, p1, p2), ds) in wanted.items():
         side = tables[f]
         w0, w1, w2 = side[p0], side[p1], side[p2]
-        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) % m, (w2[x] - w0[x]) % m)
-                                for x in range(k) if x != v0 and x != v1 and x != v2}, ds
+        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) % m, (w2[x] - w0[x]) % m) for x in range(k)
+                                if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
 
 
 def _tails(plane: Plane, pts, group: str, frames=None, sides=None):
@@ -502,6 +514,8 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
         """Whether pts + [x] has an image below itself."""
         if x <= pts[-1]:
             raise ValueError(f"candidate {x} is not above the parent's last point {pts[-1]}")
+        if x >= plane.size:
+            raise PointRangeError(f"candidate {x} is not in [0, {plane.size})")
         logs = logs_at(0, x)
         if None in logs.values():
             raise DegenerateSetError(f"candidate {x} lies on a secant of the parent")
@@ -530,6 +544,38 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     return [x for x in candidates if not below(x)]
 
 
+def _invariant_frames(plane: Plane, pts, group: str) -> list:
+    """The candidate frames (f, Q) of a point set that is not an arc of
+    at least 5 points: every Frobenius power of the group times every
+    ordered 4-subset Q in general position with inv(Q[i]) = inv(Q0[i])
+    for each i.  inv(x) is the sorted sizes of the lines through pts[x]
+    that hold at least 3 points of pts, and Q0 is the first 4-subset in
+    general position when the positions are ordered by (size of their
+    invariant's class, invariant, position).  A set without one raises
+    DegenerateSetError."""
+    k, rows = len(pts), plane.line_rows
+    on: dict = {}  # line -> the positions on it
+    for a, b in combinations(range(k), 2):
+        on.setdefault(rows[pts[a]][pts[b]], set()).update((a, b))
+    sizes: list = [[] for _ in range(k)]
+    for xs in on.values():
+        if len(xs) > 2:
+            for x in xs:
+                sizes[x].append(len(xs))
+    inv = [tuple(sorted(s)) for s in sizes]
+    order = sorted(range(k), key=lambda x: (inv.count(inv[x]), inv[x], x))
+
+    def general(quad) -> bool:
+        return all(rows[pts[a]][pts[b]] != rows[pts[a]][pts[c]] for a, b, c in combinations(quad, 3))
+
+    q0 = next((quad for quad in combinations(order, 4) if general(quad)), None)
+    if q0 is None:
+        raise DegenerateSetError("no 4-subset in general position")
+    classes = [[x for x in range(k) if inv[x] == inv[p]] for p in q0]
+    quads = [quad for quad in product(*classes) if len(set(quad)) == 4 and general(quad)]
+    return [(f, quad) for f in (range(plane.field.h) if group == PGAMMAL else range(1)) for quad in quads]
+
+
 def stabilizer(plane: Plane, points, group: str = PGL):
     """Full setwise stabilizer of a point set within the configured group.
 
@@ -539,27 +585,33 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     For an arc of at least 5 points C is its guided frames (module
     docstring): Stab(S) permutes the 5-subsets of S and keeps their c5,
     so g1 o s carries s^-1(T) onto frame + (c5,) when g1 carries T
-    there.  Otherwise C is every ordered frame of S.  A candidate is
-    kept when every point off the sides of its triangle lands in g1(S),
-    tested up to the first miss, and then so do the points on a side,
-    by apply: exact on sets that are not arcs.  Fewer than 4 points, or
-    no 4 in general position, raise DegenerateSetError.
+    there.  For any other set C is the frames of _invariant_frames: each
+    s in Stab(S) maps the lines of S onto lines of S with as many of
+    its points, so inv(s(x)) = inv(x), and s^-1 keeps general position;
+    g1 o s, after Frobenius power f1 + frob(s), carries s^-1(Q1) onto
+    the standard frame when g1 carries Q1 there, and s^-1(Q1) has the
+    invariants of Q1, so it is a member of C.  A candidate is kept when
+    every point off the sides of its triangle lands in g1(S), tested up
+    to the first miss, and then so do the points on a side, by apply:
+    exact on sets that are not arcs.  Ids outside [0, n) raise
+    PointRangeError and repeated ids DuplicatePointsError; fewer than 4
+    points, or no 4 in general position, DegenerateSetError.
     """
     _check_group(group)
-    pts = sorted(set(points))
+    pts = _sorted_distinct(points, plane.size)
     if len(pts) < 4:
         raise DegenerateSetError("stabilizer needs at least 4 points")
     field = plane.field
-    frames = sides = None
+    sides = None
     if len(pts) > 4 and plane.collinear_triple(pts) is None:
         sides = {0: _side_logs(plane, pts, 0, combinations(range(len(pts)), 2))}
         frames = _least_fives(plane, pts, group, sides)[1]
+    else:
+        frames = _invariant_frames(plane, pts, group)
     row, exp = plane.affine_row, field.exp
-    target, elements = None, []
+    g1 = _frame_element(plane, pts, *frames[0])
+    target, back, elements = {apply(plane, g1, x) for x in pts}, inverse(field, g1), []
     for f, tri, offs, ds in _frames(plane, pts, group, frames, sides):
-        if target is None and ds:  # the first candidate: g1
-            g1 = _frame_element(plane, pts, f, (*tri, ds[0]))
-            target, back = {apply(plane, g1, x) for x in pts}, inverse(field, g1)
         pairs = offs.values()
         for d in ds:
             d1, d2 = offs[d]
@@ -570,8 +622,6 @@ def stabilizer(plane: Plane, points, group: str = PGL):
                 g = _frame_element(plane, pts, f, (*tri, d))
                 if all(apply(plane, g, x) in target for i, x in enumerate(pts) if i not in offs and i not in tri):
                     elements.append(compose(field, back, g))
-    if target is None:
-        raise DegenerateSetError("no 4-subset in general position")
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
 

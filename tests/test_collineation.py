@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -25,9 +26,11 @@ from pgarc.collineation import (
     stabilizer,
     standard_frame,
     _five_point_table,
+    _invariant_frames,
 )
 import oracles
 from oracles import all_pgl_matrices_q2, collineation, group_closure, is_canonical, mask_image
+from pgarc.plane import DuplicatePointsError, PointRangeError
 from support import classification, get_field, get_plane
 
 
@@ -465,8 +468,8 @@ def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
 def test_canonical_children_refuses_what_it_cannot_test():
     """A parent that is not its own least image, with or without the
     frame as its head, has no canonical child, as the oracle agrees; a
-    candidate that is not above the parent or lies on a secant of it is
-    refused."""
+    candidate that is not above the parent, lies on a secant of it or is
+    no point of the plane is refused."""
     pl = get_plane(11)
     frame = standard_frame(pl)
     c = next(x for x in _children_above(pl, frame) if not is_canonical(pl, frame + (x,), PGL))
@@ -480,6 +483,11 @@ def test_canonical_children_refuses_what_it_cannot_test():
     on_secant = next(x for x in range(rep[-1] + 1, pl.size) if pl.secant_mask(rep) >> x & 1)
     with pytest.raises(DegenerateSetError, match="secant"):
         canonical_children(pl, rep, [on_secant], PGL)
+    pl = get_plane(7)
+    frame = standard_frame(pl)
+    for x in (57, 60):
+        with pytest.raises(PointRangeError, match=str(x)):
+            canonical_children(pl, frame, [x], PGL)
 
 
 def conic(plane):
@@ -517,6 +525,106 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
                 _check_stabilizer(pl, pts, group)
     for q, group, order in ((7, PGL, 336), (8, PGAMMAL, 1512), (9, PGAMMAL, 1440), (11, PGL, 1320)):
         assert _check_stabilizer(get_plane(q), conic(get_plane(q)), group) == order
+
+
+def prime_subplane(plane):
+    """The points of PG(2,p) inside PG(2,p^h): those whose normalized
+    coordinates lie in the prime field, the codes that x -> x^p fixes."""
+    fixed = plane.field.frob_tables[1]
+    return [i for i, pt in enumerate(plane.points) if all(fixed[c] == c for c in pt)]
+
+
+def symmetric_non_arc(plane, rng):
+    """The frame, its three diagonal points and the orbit of a random point
+    under a random collineation g that permutes the frame: g fixes the
+    set, and the frame's sides put collinear triples in it."""
+    frame = standard_frame(plane)
+    g = frame_map(plane, rng.sample(frame, 4))
+    pts = set(frame) | {plane.point_id(t) for t in ((0, 1, 1), (1, 0, 1), (1, 1, 0))}
+    p = rng.randrange(plane.size)
+    while p not in pts:
+        pts.add(p)
+        p = apply(plane, g, p)
+    return sorted(pts)
+
+
+def gf32_sweep_sets():
+    """(plane, ids) of the 10 point sets of the GF(32) modulus sweep that
+    are not arcs: the two published 14-arcs under the moduli that fail."""
+    from pgarc.certificates import degree5_primitive_moduli, load_fixture, points_from_exponents
+    from pgarc.gf import build_field
+    from pgarc.plane import build_plane
+
+    out = []
+    for modulus in degree5_primitive_moduli():
+        pl = build_plane(build_field(2, 5, list(modulus)))
+        for name in ("arc14_q32_z4", "arc14_q32_z5"):
+            exponents = [tuple(e) for e in load_fixture(name).meta["generator_exponents"]]
+            ids = sorted(pl.point_id(t) for t in points_from_exponents(pl.field, exponents))
+            if pl.collinear_triple(ids) is not None:
+                out.append((pl, ids))
+    return out
+
+
+def test_non_arc_stabilizers_match_the_sweep():
+    """Differential test of the point-invariant candidates of sets with a
+    collinear triple against the sweep of every ordered 4-subset: same
+    elements and structure on subplanes, whose points all share one
+    invariant, on seeded random sets with collinear triples, symmetric
+    or not, on a line plus two points, and on two non-arcs of the GF(32)
+    modulus sweep; a set with no frame raises in both."""
+    for q, group, order in ((4, PGL, 168), (4, PGAMMAL, 336), (8, PGL, 168), (8, PGAMMAL, 504),
+                            (9, PGL, 5616), (9, PGAMMAL, 11232)):
+        pl = get_plane(q)
+        assert _check_stabilizer(pl, prime_subplane(pl), group) == order, (q, group)
+    nontrivial = 0
+    for q, group in ((5, PGL), (7, PGL), (8, PGL), (8, PGAMMAL), (9, PGL), (9, PGAMMAL),
+                     (16, PGL), (16, PGAMMAL)):
+        pl = get_plane(q)
+        rng = random.Random(f"non-arc:{q}:{group}")
+        sets = [symmetric_non_arc(pl, rng) for _ in range(3)]
+        for n in (5, 7):
+            arc = oracles.random_arc(pl, rng, max_size=n)
+            sets.append(sorted(set(arc) | {on_a_secant(pl, arc), rng.randrange(pl.size)}))
+        for pts in sets:
+            assert pl.collinear_triple(pts) is not None
+            nontrivial += _check_stabilizer(pl, pts, group) > 1
+        line = pl.points_on_line[rng.randrange(pl.size)]
+        off = [x for x in range(pl.size) if x not in line]
+        _check_stabilizer(pl, sorted([*line, *rng.sample(off, 2)]), group)
+    assert nontrivial >= 12
+    for pl, ids in gf32_sweep_sets()[:2]:
+        assert _check_stabilizer(pl, ids, PGAMMAL) == 1
+    pl = get_plane(7)
+    no_frame = sorted([*pl.points_on_line[0], pl.size - 1])
+    for stab in (stabilizer, oracles.sweep_stabilizer):
+        with pytest.raises(DegenerateSetError, match="general position"):
+            stab(pl, no_frame, PGL)
+
+
+def test_gf32_non_arcs_need_few_candidate_frames():
+    """The 10 non-arcs of the GF(32) sweep have 1,960 candidate frames
+    under PGammaL in all, where every ordered frame of each, for each
+    Frobenius power, would be 5 * 24 * C(14,4) = 120,120.  Frames are
+    counted, not timed, so a regression shows on any machine."""
+    sets = gf32_sweep_sets()
+    assert [len(ids) for _, ids in sets] == [14] * 10
+    every = sum(5 * 24 * comb(len(ids), 4) for _, ids in sets)
+    candidates = sum(len(_invariant_frames(pl, ids, PGAMMAL)) for pl, ids in sets)
+    assert (candidates, every) == (1960, 1_201_200)
+    assert 500 * candidates < every
+
+
+def test_stabilizer_rejects_bad_ids():
+    """Ids outside [0, n) and repeated ids are refused at every size,
+    the 4-point sets included."""
+    pl = get_plane(7)
+    for pts in ([0, 1, 8, -1], [0, 1, 8, 57], [0, 1, 8, 116], [0, 1, 8, 16, 60], [0, 1, 2, 8, 9, -3]):
+        with pytest.raises(PointRangeError):
+            stabilizer(pl, pts, PGL)
+    for pts in ([0, 1, 8, 16, 16], [0, 1, 8, 8]):
+        with pytest.raises(DuplicatePointsError):
+            stabilizer(pl, pts, PGL)
 
 
 def test_frame_stabilizer_is_s4():
