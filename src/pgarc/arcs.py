@@ -4,11 +4,14 @@ An arc is a point set with no 3 collinear members.  Its candidates are
 the non-member points on no secant (line through 2 members), i.e. the
 points whose addition preserves the arc property.  Candidate sets are
 integer bitmasks, so a completeness test is one comparison with 0.
+candidate_mask lives in the geometry layer (plane), where the
+certificate verifier reads it too; the search layer imports it from
+here.
 """
 
 from __future__ import annotations
 
-from .plane import Plane
+from .plane import candidate_mask
 
 
 def iter_bits(mask: int):
@@ -17,10 +20,3 @@ def iter_bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
-
-
-def candidate_mask(plane: Plane, members) -> int:
-    mem_mask = 0
-    for m in members:
-        mem_mask |= 1 << m
-    return plane.all_points_mask & ~plane.secant_mask(members) & ~mem_mask

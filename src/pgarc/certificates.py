@@ -22,7 +22,7 @@ from itertools import product
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
 from .gf import FieldError, build_field
-from .plane import Plane, build_plane
+from .plane import Plane, build_plane, candidate_mask
 
 CLAIM_KEYS = ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name")
 
@@ -139,10 +139,7 @@ def _recompute(plane: Plane, group: str, ids):
     """(collinear triple or None, mask of the non-members on no secant,
     structure or None).  The set is complete iff the mask is 0."""
     bad = plane.collinear_triple(ids)
-    members = 0
-    for i in ids:
-        members |= 1 << i
-    uncovered = plane.all_points_mask & ~plane.secant_mask(ids) & ~members
+    uncovered = candidate_mask(plane, ids)
     try:
         _, structure = stabilizer(plane, ids, group)
     except DegenerateSetError:

@@ -15,10 +15,11 @@ complete setwise stabilizer without any generic group machinery.
 frame_images lists those images of an arc, canonicalize takes the least
 of them, canonical_children tests the children of a canonical arc, and
 stabilizer keeps the maps onto one image of the set.  All of them image
-frames through one kernel, _frames, which takes a list of frames or
-every ordered frame.  It groups frames by Frobenius power and triangle
-T, evaluates the three sides of T at every point of the set once, and
-the frame map of (T, D) divides those values by their values at D.  In
+frames through one kernel, _frames, which takes a list of frames: the
+guided or candidate frames below, or every ordered frame
+(_every_frame).  It groups frames by Frobenius power and triangle T,
+evaluates the three sides of T at every point of the set once, and the
+frame map of (T, D) divides those values by their values at D.  In
 discrete logarithms that is two subtractions and two table lookups per
 image point, with no matrix and no normalization.
 
@@ -104,6 +105,7 @@ class GroupStructure:
 
 
 IDENTITY = Collineation((1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
+_MAX_ELEMENT_ORDER = 100000  # above q^2 + q + 1, the largest element order of PGL(3, q), q <= 256
 
 
 def _check_group(group: str):
@@ -175,13 +177,13 @@ def inverse(field, g: Collineation) -> Collineation:
     return Collineation(_normalize_matrix(field, m), f)
 
 
-def element_order(field, g: Collineation, cap: int = 100000) -> int:
+def element_order(field, g: Collineation) -> int:
     cur = g
-    for k in range(1, cap + 1):
+    for k in range(1, _MAX_ELEMENT_ORDER + 1):
         if cur == IDENTITY:
             return k
         cur = compose(field, cur, g)
-    raise RuntimeError("element order exceeds cap")
+    raise RuntimeError(f"element order exceeds {_MAX_ELEMENT_ORDER}")
 
 
 def apply_matrix(plane: Plane, m, point: int) -> int:
@@ -264,7 +266,21 @@ def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
     return side
 
 
-def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
+def _powers(plane: Plane, group: str) -> range:
+    """The Frobenius powers of the elements of group."""
+    return range(plane.field.h if group == PGAMMAL else 1)
+
+
+def _every_frame(plane: Plane, k: int, group: str) -> list:
+    """Every ordered frame (f, (V2, V1, V0, D)) of an arc of k points
+    under group, as positions: per Frobenius power and triangle, its 6
+    orderings, each with every other point as D."""
+    return [(f, (t[l], t[j], t[i], d)) for f in _powers(plane, group)
+            for t in combinations(range(k), 3) for i, j, l in permutations(range(3))
+            for d in range(k) if d not in t]
+
+
+def _frames(plane: Plane, pts, frames, sides=None):
     """The kernel of every image this module takes: the frame maps of a
     point set in log coordinates, grouped by Frobenius power f and
     ordered triangle.  For a triangle of positions V0, V1, V2 let w_i(x)
@@ -277,28 +293,11 @@ def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
     position D in ds.
 
     frames lists the (f, (V2, V1, V0, D)) wanted, as positions of frames
-    of pts; sides[f], a side table at hand, is read before any of their
-    sides is evaluated (_side_logs).  frames None asks for every ordered frame
-    of pts under group, and then the side-log differences are found once
-    per unordered triangle, whose 6 orderings only permute them.
+    of pts (_every_frame lists all of them); the records come in the
+    order of their first frames.  sides[f], a side table at hand, is
+    read before any of their sides is evaluated (_side_logs).
     """
     m, k = plane.q - 1, len(pts)
-    if frames is None:
-        for f in range(plane.field.h) if group == PGAMMAL else range(1):
-            side = _side_logs(plane, pts, f, combinations(range(k), 2))
-            for tri in combinations(range(k), 3):
-                a, b, c = tri
-                w = side[b, c], side[a, c], side[a, b]  # opposite a, b, c
-                if w[0][a] is None:
-                    continue  # collinear triple: no frame
-                xs = [x for x in range(k) if None not in (w[0][x], w[1][x], w[2][x])]
-                rel = {}  # rel[i, j] = [log w_j - log w_i at x for x in xs]
-                for i, j in ((0, 1), (0, 2), (1, 2)):
-                    rel[i, j] = [(w[j][x] - w[i][x]) % m for x in xs]
-                    rel[j, i] = [-r % m for r in rel[i, j]]
-                for i, j, l in permutations(range(3)):
-                    yield f, (tri[l], tri[j], tri[i]), dict(zip(xs, zip(rel[i, j], rel[i, l]))), xs
-        return
     wanted: dict = {}  # (f, V2, V1, V0) -> (the sides opposite V0, V1, V2, [D, ...])
     needed: dict = {}
     for f, (v2, v1, v0, d) in frames:
@@ -318,12 +317,12 @@ def _frames(plane: Plane, pts, group: str, frames=None, sides=None):
                                 if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
 
 
-def _tails(plane: Plane, pts, group: str, frames=None, sides=None):
+def _tails(plane: Plane, pts, frames, sides=None):
     """(f, (V2, V1, V0), D, offs, tail) for each frame of _frames(plane,
-    pts, group, frames, sides): tail is the sorted image of the points
-    off the sides of the triangle."""
+    pts, frames, sides): tail is the sorted image of the points off the
+    sides of the triangle."""
     row, exp = plane.affine_row, plane.field.exp
-    for f, tri, offs, ds in _frames(plane, pts, group, frames, sides):
+    for f, tri, offs, ds in _frames(plane, pts, frames, sides):
         for d in ds:
             d1, d2 = offs[d]
             yield f, tri, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
@@ -357,7 +356,8 @@ def frame_images(plane: Plane, arc, group: str = PGL):
     """
     pts = _arc_points(plane, arc, group)
     head = standard_frame(plane)[:3]
-    return (head + tuple(tail) for _, _, _, _, tail in _tails(plane, pts, group))
+    frames = _every_frame(plane, len(pts), group)
+    return (head + tuple(tail) for _, _, _, _, tail in _tails(plane, pts, frames))
 
 
 _FIVE_POINT_TABLES = weakref.WeakKeyDictionary()  # plane -> {group: (c5, onto)}
@@ -383,12 +383,13 @@ def _five_point_table(plane: Plane, group: str):
         frame = standard_frame(plane)
         on_sides = plane.secant_mask(frame)
         row, exp, h = plane.affine_row, plane.field.exp, plane.field.h
+        frames = _every_frame(plane, 5, group)
         c5 = [None] * plane.size
         onto: list = [None] * plane.size
         for p in range(plane.size):
             if c5[p] is not None or on_sides >> p & 1:
                 continue
-            for f, tri, offs, ds in _frames(plane, frame + (p,), group):
+            for f, tri, offs, ds in _frames(plane, frame + (p,), frames):
                 for d in ds:
                     d1, d2 = offs[d]
                     for t, (a, b) in offs.items():
@@ -417,8 +418,8 @@ def _least_fives(plane: Plane, pts, group: str, sides):
     over the 5-subsets that they find (plane.size if there is none), and
     guided the guided frames, those that carry a 5-subset with that c5
     onto frame + (c5,)."""
-    quads = list(_frames(plane, pts, PGL, [(0, (c, b, a, d)) for a, b, c, d
-                                          in combinations(range(len(pts)), 4)], sides))
+    quads = list(_frames(plane, pts, [(0, (c, b, a, d)) for a, b, c, d
+                                      in combinations(range(len(pts)), 4)], sides))
     c5, onto = _five_point_table(plane, group)
     row, exp = plane.affine_row, plane.field.exp
     least, reached = plane.size, []
@@ -456,7 +457,7 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     if k > 4:
         frames = _least_fives(plane, pts, group, sides)[1]
     best = [plane.size]  # above every index, so the first image wins
-    for f, tri, d, _, tail in _tails(plane, pts, group, frames, sides):
+    for f, tri, d, _, tail in _tails(plane, pts, frames, sides):
         if tail < best:
             best, witness = tail, (f, (*tri, d))
     return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), _frame_element(plane, pts, *witness))
@@ -493,12 +494,12 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     row, exp = plane.affine_row, field.exp
     c5, onto = _five_point_table(plane, group)
     sides = {f: _side_logs(plane, pts, f, combinations(range(k), 2))
-             for f in (range(field.h) if group == PGAMMAL else range(1))}
+             for f in _powers(plane, group)}
     least, frames, quads = _least_fives(plane, pts, group, sides)
     head = pts[3:]
     # R's guided frames: (f, the pairs of their sides, D's offsets, tail of R)
     own = [(f, [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))], offs[d], tail)
-           for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, group, frames, sides)]
+           for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, frames, sides)]
     if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
         return []
     lines = [[(p, plane.lines[plane.line_rows[perm[pts[p[0]]]][perm[pts[p[1]]]]]) for p in sides[0]]
@@ -539,7 +540,7 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
             if sorted(tail + [y]) < target:
                 return True
         known = {f: {p: s + [xlogs[f][p]] for p, s in sides[f].items()} for f in {f for f, _ in guided}}
-        return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], group, guided, known))
+        return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], guided, known))
 
     return [x for x in candidates if not below(x)]
 
@@ -573,7 +574,7 @@ def _invariant_frames(plane: Plane, pts, group: str) -> list:
         raise DegenerateSetError("no 4-subset in general position")
     classes = [[x for x in range(k) if inv[x] == inv[p]] for p in q0]
     quads = [quad for quad in product(*classes) if len(set(quad)) == 4 and general(quad)]
-    return [(f, quad) for f in (range(plane.field.h) if group == PGAMMAL else range(1)) for quad in quads]
+    return [(f, quad) for f in _powers(plane, group) for quad in quads]
 
 
 def stabilizer(plane: Plane, points, group: str = PGL):
@@ -611,7 +612,7 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     row, exp = plane.affine_row, field.exp
     g1 = _frame_element(plane, pts, *frames[0])
     target, back, elements = {apply(plane, g1, x) for x in pts}, inverse(field, g1), []
-    for f, tri, offs, ds in _frames(plane, pts, group, frames, sides):
+    for f, tri, offs, ds in _frames(plane, pts, frames, sides):
         pairs = offs.values()
         for d in ds:
             d1, d2 = offs[d]

@@ -2,11 +2,11 @@
 
 Elements are integer codes in [0, q): the polynomial c0 + c1*x + ... is
 encoded as c0 + c1*p + c2*p^2 + ...  Code 0 is the additive zero and
-code 1 the multiplicative unit.  Inversion, powers and the Frobenius maps
-go through discrete exp/log tables for a primitive root of the modulus;
-addition (digitwise mod p on the codes) and multiplication are looked up
-in q x q flat tables, which the geometry and search layers index
-directly.
+code 1 the multiplicative unit.  Discrete exp/log tables for a primitive
+root of the modulus give the tables of inverses and of the Frobenius
+maps; addition (digitwise mod p on the codes) and multiplication are
+looked up in q x q flat tables, which the geometry and search layers
+index directly.
 
 The integer encoding gives every field a total order (plain integer
 order on codes), which downstream code relies on for reproducible
@@ -189,30 +189,8 @@ class FieldTable:
     def sub(self, a: int, b: int) -> int:
         return self.add_flat[a * self.q + self.neg_list[b]]
 
-    def neg(self, a: int) -> int:
-        return self.neg_list[a]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_flat[a * self.q + b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.inv_list[a]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
-    def frobenius(self, a: int, i: int) -> int:
-        """a raised to the power p^i; a field automorphism for each i."""
-        if not 0 <= i < self.h:
-            raise ValueError(f"frobenius exponent {i} outside [0, {self.h})")
-        return self.frob_tables[i][a]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def power_repr(self, a: int) -> str:
         """Display form of an element as a power of the modulus root.

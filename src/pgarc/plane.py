@@ -159,6 +159,16 @@ class Plane:
         return f"Plane(q={self.q}, points={self.size})"
 
 
+def candidate_mask(plane: Plane, members) -> int:
+    """Bitmask of the points on no secant of the pairwise distinct points
+    members, members left out: for an arc, the points that extend it to
+    an arc."""
+    mem_mask = 0
+    for m in members:
+        mem_mask |= 1 << m
+    return plane.all_points_mask & ~plane.secant_mask(members) & ~mem_mask
+
+
 def build_plane(field: FieldTable) -> Plane:
     """Build all tables for PG(2,q) over the given field."""
     if field.q > DENSE_LIMIT:

@@ -25,7 +25,9 @@ from pgarc.collineation import (
     inverse,
     stabilizer,
     standard_frame,
+    _every_frame,
     _five_point_table,
+    _frames,
     _invariant_frames,
 )
 import oracles
@@ -525,6 +527,28 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
                 _check_stabilizer(pl, pts, group)
     for q, group, order in ((7, PGL, 336), (8, PGAMMAL, 1512), (9, PGAMMAL, 1440), (11, PGL, 1320)):
         assert _check_stabilizer(get_plane(q), conic(get_plane(q)), group) == order
+
+
+@pytest.mark.parametrize("q, group", [(7, PGL), (8, PGAMMAL), (13, PGL), (32, PGAMMAL)])
+def test_every_frame_records_follow_the_logged_sweep(q, group):
+    """_frames over _every_frame against oracles.logged_frame_sweep on
+    seeded arcs of 4 to 8 points: the same records in the same order,
+    compared as Frobenius power, triangle and D as conjugate ids, and
+    the (r1, r2) offsets of each D.  frame_images yields in this order,
+    and _five_point_table lists its onto frames in it."""
+    pl = get_plane(q)
+    rng = random.Random(f"every-frame:{q}:{group}")
+    for n in range(4, 9):
+        arc = oracles.random_arc(pl, rng, max_size=n)
+        records = list(_frames(pl, arc, _every_frame(pl, len(arc), group)))
+        logged = list(oracles.logged_frame_sweep(pl, arc, group))
+        assert len(records) == len(logged) == (pl.field.h if group == PGAMMAL else 1) * 6 * comb(len(arc), 3)
+        for (f, tri, offs, ds), (lf, corners, ids, r1, r2, odd, _, _) in zip(records, logged):
+            perm = pl.frob_point_perms[f]
+            assert (f, tuple(perm[arc[v]] for v in tri)) == (lf, corners), (q, group, arc)
+            assert [perm[arc[d]] for d in ds] == ids and odd == [], (q, group, arc, tri)
+            assert list(offs) == ds
+            assert [offs[d] for d in ds] == list(zip(r1, r2)), (q, group, arc, tri)
 
 
 def prime_subplane(plane):

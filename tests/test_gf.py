@@ -54,20 +54,23 @@ def test_gf31_basics():
     assert f.q == 31
     assert f.add(30, 1) == 0
     assert f.mul(2, 16) == 1
-    assert f.inv(2) == 16
+    assert f.inv_list[2] == 16
 
 
 def test_gf32_explicit_modulus():
     f = build_field(2, 5, GF32_MODULUS)
     # root order 31 (prime), so xi^31 = 1 and xi^5 = xi^2 + 1
-    assert f.pow(f.exp[1], 31) == 1
+    power = 1
+    for _ in range(31):
+        power = f.mul(power, f.exp[1])
+    assert power == 1
     assert f.exp[5] == f.add(f.exp[2], 1)
     assert f.mul(f.exp[30], f.exp[5]) == f.exp[4]
 
 
 def test_characteristic_two_self_inverse_addition():
     f = build_field(2, 5, GF32_MODULUS)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.add(a, a) == 0
 
 
@@ -93,8 +96,6 @@ def test_construction_errors():
         build_field(3, 2, [2, 0, 1])  # x^2 - 1 = (x-1)(x+1)
     with pytest.raises(NotPrimitiveError):
         build_field(3, 2, [1, 0, 1])  # x^2 + 1 irreducible, root has order 4
-    with pytest.raises(ZeroDivisionError):
-        get_field(7).inv(0)
 
 
 def test_auto_modulus_is_least_primitive():
@@ -117,20 +118,20 @@ def test_auto_modulus_is_least_primitive():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 31, 32])
 def test_field_axioms_exhaustive_pairs(q):
     f = get_field(q)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             if a and b:
-                assert f.mul(f.mul(a, b), f.inv(b)) == a
+                assert f.mul(f.mul(a, b), f.inv_list[b]) == a
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 27, 32])
 def test_field_axioms_triples(q):
     f = get_field(q)
-    for a in f.elements():
-        for b in f.elements():
-            for c in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
+            for c in range(f.q):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
@@ -148,36 +149,24 @@ def test_exp_log_round_trip(q):
 
 def test_frobenius_gf32():
     f = get_field(32)
-    xi = f.exp[1]
-    for a in f.elements():
-        assert f.frobenius(a, 0) == a
-    assert f.frobenius(xi, 1) == f.exp[2]
-    for a in f.elements():
+    frob = f.frob_tables
+    assert len(frob) == 5
+    assert frob[0] == list(range(f.q))
+    assert frob[1][f.exp[1]] == f.exp[2]
+    for a in range(f.q):
         cur = a
         for _ in range(5):
-            cur = f.frobenius(cur, 1)
+            cur = frob[1][cur]
         assert cur == a
 
 
 def test_frobenius_is_homomorphism_gf32():
     f = get_field(32)
-    for i in range(5):
-        for a in f.elements():
-            for b in f.elements():
-                assert f.frobenius(f.add(a, b), i) == f.add(
-                    f.frobenius(a, i), f.frobenius(b, i)
-                )
-                assert f.frobenius(f.mul(a, b), i) == f.mul(
-                    f.frobenius(a, i), f.frobenius(b, i)
-                )
-
-
-def test_frobenius_exponent_range():
-    f = get_field(32)
-    with pytest.raises(ValueError):
-        f.frobenius(1, 5)
-    with pytest.raises(ValueError):
-        f.frobenius(1, -1)
+    for frob in f.frob_tables:
+        for a in range(f.q):
+            for b in range(f.q):
+                assert frob[f.add(a, b)] == f.add(frob[a], frob[b])
+                assert frob[f.mul(a, b)] == f.mul(frob[a], frob[b])
 
 
 @given(st.sampled_from([3, 5, 8, 9, 16, 31, 32]), st.data())
@@ -185,10 +174,10 @@ def test_frobenius_exponent_range():
 def test_inverse_and_negation_properties(q, data):
     f = get_field(q)
     a = data.draw(st.integers(min_value=0, max_value=q - 1))
-    assert f.add(a, f.neg(a)) == 0
+    assert f.add(a, f.neg_list[a]) == 0
     if a:
-        assert f.mul(a, f.inv(a)) == 1
-        assert f.inv(f.inv(a)) == a
+        assert f.mul(a, f.inv_list[a]) == 1
+        assert f.inv_list[f.inv_list[a]] == a
 
 
 def test_factor_prime_power():
@@ -213,8 +202,8 @@ def test_field_order_cap():
 
 def test_prime_field_tables_are_modular_integers():
     f = get_field(31)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.add(a, b) == (a + b) % 31
             assert f.sub(a, b) == (a - b) % 31
             assert f.mul(a, b) == a * b % 31
