@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the small-order table of t(2,q) with class counts.
 
-Runs the full pipeline (classification to a low threshold, then
-extension and orbit peeling) for every prime power q <= 13 and prints
+Runs the full pipeline (classification to size 5, then extension and
+orbit peeling) for every prime power q <= 13 and prints
 the minimum complete arc size with its exact class census, for both
 groups where they differ.
 """
@@ -19,15 +19,11 @@ def main() -> int:
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         t0 = time.time()
         plane = default_plane(q)
-        result = min_complete_size(
-            SearchConfig(q=q, classification_threshold=4), plane
-        )
+        result = min_complete_size(SearchConfig(q=q), plane)
         _, h = factor_prime_power(q)
         gamma = ""
         if h > 1:
-            gamma = min_complete_size(
-                SearchConfig(q=q, group="pgammal", classification_threshold=4), plane
-            ).class_count
+            gamma = min_complete_size(SearchConfig(q=q, group="pgammal"), plane).class_count
         print(
             f"{q:>3} {result.size:>7} {result.class_count:>12} {str(gamma):>16}"
             f" {time.time() - t0:>7.1f}"

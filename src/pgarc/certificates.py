@@ -93,7 +93,7 @@ def certificate_from_dict(data: dict) -> ArcCertificate:
 def parse_certificate(text: str) -> ArcCertificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedCertificateError("certificate must be a JSON object")

@@ -1,8 +1,11 @@
 """Command line front end.
 
 Subcommands: classify, find-min, verify, stabilizer, bound.  Results go
-to standard output, progress to standard error.  Exit codes: 0 success,
-1 invalid certificate, 2 malformed input, 3 resource budget exceeded.
+to standard output, progress to standard error.  Only classify takes a
+threshold and a checkpoint directory: find-min classifies sizes 4 and
+5 in memory, in milliseconds, and extends from there.  Exit codes: 0
+success, 1 invalid certificate, 2 malformed input, 3 resource budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -28,25 +31,15 @@ EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 
 
-def _add_run_flags(sub, threshold_default: int):
+def _add_run_flags(sub):
     sub.add_argument("--q", type=int, required=True, help="plane order (prime power)")
     sub.add_argument("--group", choices=list(GROUPS), default=PGL)
-    sub.add_argument("--threshold", type=int, default=threshold_default,
-                     help="classification threshold")
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--checkpoint-dir", default=os.environ.get(CHECKPOINT_ENV),
-                     help=f"level checkpoint directory (default ${CHECKPOINT_ENV})")
 
 
-def _make_config(args) -> SearchConfig:
+def _make_config(args, **knobs) -> SearchConfig:
     try:
-        return SearchConfig(
-            q=args.q,
-            group=args.group,
-            classification_threshold=args.threshold,
-            worker_count=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-        )
+        return SearchConfig(q=args.q, group=args.group, worker_count=args.workers, **knobs)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -64,7 +57,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    config = _make_config(args)
+    config = _make_config(args, classification_threshold=args.threshold,
+                          checkpoint_dir=args.checkpoint_dir)
     t0 = time.time()
     levels = search.classify(config)
     for lv in levels:
@@ -148,13 +142,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="exact arc class counts by size")
-    _add_run_flags(p_classify, threshold_default=8)
+    _add_run_flags(p_classify)
+    p_classify.add_argument("--threshold", type=int, default=8,
+                            help="largest arc size to classify")
+    p_classify.add_argument("--checkpoint-dir", default=os.environ.get(CHECKPOINT_ENV),
+                            help=f"level checkpoint directory (default ${CHECKPOINT_ENV})")
     p_classify.set_defaults(fn=_cmd_classify)
 
-    # threshold 4 makes find-min a pure extension search, which is both
-    # exhaustive and far cheaper than deep classification at small q
     p_find = sub.add_parser("find-min", help="smallest complete arc size and witness")
-    _add_run_flags(p_find, threshold_default=4)
+    _add_run_flags(p_find)
     p_find.add_argument("--certificate-out", default=None)
     p_find.set_defaults(fn=_cmd_find_min)
 

@@ -329,9 +329,10 @@ def _tails(plane: Plane, pts, frames, sides=None):
 
 
 def _arc_points(plane: Plane, points, group: str) -> list[int]:
-    """Sorted distinct points of an arc of at least 4 points, else a clear error."""
+    """Sorted points of an arc of at least 4 points, else a clear error;
+    a repeated id raises DuplicatePointsError."""
     _check_group(group)
-    pts = sorted(set(points))
+    pts = _sorted_distinct(points, plane.size)
     if not pts:
         raise EmptySetError("cannot canonicalize the empty set")
     if len(pts) < 4:

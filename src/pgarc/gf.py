@@ -215,13 +215,15 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
     monic of the stated degree, irreducible and primitive; primitivity is
     verified by brute-force computation of the root's multiplicative order.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
     if not isinstance(ext_degree, int) or ext_degree < 1:
         raise DegreeMismatchError(f"extension degree must be >= 1, got {ext_degree}")
+    # capped before the trial division; p**h is built only for h < 9 (2^9 > MAX_ORDER)
+    if isinstance(p, int) and p > 1 and (
+            p > MAX_ORDER or ext_degree >= MAX_ORDER.bit_length() or p**ext_degree > MAX_ORDER):
+        raise FieldError(f"field order p^h exceeds supported maximum {MAX_ORDER}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
     q = p**ext_degree
-    if q > MAX_ORDER:
-        raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
 
     if isinstance(modulus, str):
         if modulus != "auto":

@@ -9,12 +9,12 @@ adding g(max S) cannot move the first difference.  So each canonical
 children of one parent are tested together by
 collineation.canonical_children, guided by the five-point invariant.
 
-Above the threshold a depth-first extension takes over: candidates are
-added in increasing point-index order (each child only considers points
-greater than the last added one, so each superset is enumerated once)
-and a branch is cut at the size bound.  Every branch is explored in
-full, so an arc that contains several representatives is reported
-under each of them.
+Above it a depth-first extension takes over (min_complete_size extends
+from level 5): candidates are added in increasing point-index order
+(each child only considers points greater than the last added one, so
+each superset is enumerated once) and a branch is cut at the size
+bound.  Every branch is explored in full, so an arc that contains
+several representatives is reported under each of them.
 
 The smallest complete arcs found are sorted into classes by orbit
 peeling, isomorph rejection via recorded objects (Kaski and Ostergard
@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from pathlib import Path
 
 from . import scheduler
@@ -52,10 +52,11 @@ class CheckpointError(ValueError):
 class SearchConfig:
     """Knobs of a classification + extension run.
 
-    worker_count, from 1 to 100 (one equal share of 100 each), is how
-    many workers a level starts, but no more than the level has parents;
-    stealing no longer shapes the dispatch (scheduler.run_jobs) and is
-    ignored.
+    classify reads every field; min_complete_size ignores
+    classification_threshold and checkpoint_dir.  worker_count, from 1
+    to 100 (one equal share of 100 each), is how many workers a level or
+    an extension starts, but no more than it has parents; stealing no
+    longer shapes the dispatch (scheduler.run_jobs) and is ignored.
     """
 
     q: int
@@ -337,28 +338,23 @@ def _peel_orbits(plane: Plane, group: str, arcs) -> list[tuple[int, ...]]:
 def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCompleteResult:
     """Smallest n admitting a complete n-arc, with its exact class census.
 
-    Classification levels are scanned first (a complete arc of size at
-    most the threshold is itself a representative); beyond the threshold
-    the bound grows from the arithmetic lower bound until the extension
-    sweep reports something; _peel_orbits sorts the smallest into classes.
+    Sizes 4 and 5 are classified in memory, whatever the config's
+    classification_threshold and checkpoint_dir.  Canonical forms are
+    prefix-closed, so every canonical complete arc lies in the branch of
+    its canonical 5-prefix, or is the frame, complete at q = 2 and 3,
+    which extend reports as its own root.  The bound grows from
+    max(lower_bound(q), top size) until the extension of the top level
+    reports something; _peel_orbits sorts the smallest into classes.
     """
     plane = plane if plane is not None else default_plane(config.q)
-    levels = classify(config, plane)
-    for lv in levels:
-        complete = [r for r in lv.representatives if candidate_mask(plane, r) == 0]
-        if complete:
-            return MinCompleteResult(config.q, config.group, lv.size, len(complete), complete)
-
-    top = levels[-1]
-    bound = max(lower_bound(config.q), top.size + 1)
-    while bound <= config.q + 2:
+    top = classify(replace(config, classification_threshold=5, checkpoint_dir=None), plane)[-1]
+    for bound in range(max(lower_bound(config.q), top.size), config.q + 3):
         branch = functools.partial(extend, plane, config.group, bound=bound)
         found = [a for arcs in _map_reps(config, branch, top.representatives) for a in arcs]
         if found:
             t = min(len(a) for a in found)
             classes = _peel_orbits(plane, config.group, [a for a in found if len(a) == t])
             return MinCompleteResult(config.q, config.group, t, len(classes), classes)
-        bound += 1
     raise RuntimeError(f"no complete arc found up to size {config.q + 2}")  # unreachable
 
 

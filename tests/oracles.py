@@ -709,10 +709,13 @@ def set_classify(plane, group: str, threshold: int) -> list[list[tuple[int, ...]
 
 
 def per_arc_min_complete_size(config: SearchConfig, plane):
-    """(t, sorted class representatives) of the smallest complete arcs,
-    by the same classification and extension as search.min_complete_size
-    but with each reported arc of size t canonicalized on its own and the
-    forms deduplicated in a set."""
+    """(t, sorted class representatives) of the smallest complete arcs:
+    classification to config.classification_threshold, a scan of its
+    levels for complete representatives, then extension from the top
+    level, with each reported arc of size t canonicalized on its own and
+    the forms deduplicated in a set.  At threshold 4 this is the search
+    from the frame that search.min_complete_size ran before it extended
+    from level 5 and peeled orbits."""
     levels = classify(config, plane)
     for lv in levels:
         complete = [r for r in lv.representatives if candidate_mask(plane, r) == 0]

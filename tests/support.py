@@ -27,9 +27,8 @@ def classification(q: int, group: str, threshold: int):
 
 
 @functools.lru_cache(maxsize=None)
-def find_min(q: int, group: str, threshold: int = 4):
-    cfg = SearchConfig(q=q, group=group, classification_threshold=threshold)
-    return min_complete_size(cfg, get_plane(q))
+def find_min(q: int, group: str):
+    return min_complete_size(SearchConfig(q=q, group=group), get_plane(q))
 
 
 @functools.lru_cache(maxsize=None)

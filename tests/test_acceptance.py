@@ -213,12 +213,7 @@ def test_criterion_7_invariant_suites(report):
     # scheduler determinism: q=11 extension run, 1 worker vs 4 workers
     outputs = []
     for workers in (1, 4):
-        cfg = SearchConfig(
-            q=11,
-            group=PGL,
-            classification_threshold=5,
-            worker_count=workers,
-        )
+        cfg = SearchConfig(q=11, group=PGL, worker_count=workers)
         result = min_complete_size(cfg, get_plane(11))
         outputs.append(
             (result.size, result.class_count, tuple(result.representatives))

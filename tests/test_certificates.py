@@ -394,8 +394,7 @@ def test_cli_classify_counts():
 def test_cli_find_min_emits_verifiable_certificate(tmp_path):
     cert_path = tmp_path / "witness.json"
     proc = run_cli(
-        "find-min", "--q", "5", "--threshold", "4",
-        "--certificate-out", str(cert_path),
+        "find-min", "--q", "5", "--certificate-out", str(cert_path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "t(2,5) = 6" in proc.stdout
@@ -403,15 +402,6 @@ def test_cli_find_min_emits_verifiable_certificate(tmp_path):
     # a fresh process re-verifies the emitted certificate
     check = run_cli("verify", str(cert_path))
     assert check.returncode == 0, check.stdout + check.stderr
-
-
-def test_cli_find_min_checkpoints_both_groups(tmp_path):
-    """At q = p^h with h > 1 the second group's run keeps --checkpoint-dir."""
-    proc = run_cli("find-min", "--q", "4", "--checkpoint-dir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert "classes (pgammal): 1" in proc.stdout
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["q4_pgammal_level4.txt", "q4_pgl_level4.txt"]
 
 
 def test_cli_find_min_q11(tmp_path):
@@ -439,18 +429,52 @@ def test_degenerate_set_certificate_round_trips():
 def test_cli_proportions_usage_errors():
     """Neither command takes --proportions or --stealing: parents always go
     to the next free worker, so the flags would change nothing."""
-    for command in ("classify", "find-min"):
+    for command in (["classify", "--threshold", "5"], ["find-min"]):
         for flags in (["--proportions", "50,50"], ["--stealing"]):
-            proc = run_cli(command, "--q", "5", "--threshold", "5", "--workers", "2", *flags)
+            proc = run_cli(*command, "--q", "5", "--workers", "2", *flags)
             assert proc.returncode == 2
             assert "unrecognized arguments: " + flags[0] in proc.stderr
 
 
-def test_cli_find_min_rejects_bound_flag():
-    """find-min always searches up to q + 2; it has no size cap option."""
-    proc = run_cli("find-min", "--q", "5", "--bound", "9")
-    assert proc.returncode == 2
-    assert "--bound" in proc.stderr
+def test_cli_find_min_rejects_bound_flag(tmp_path):
+    """find-min always searches up to q + 2; it has no size cap option.
+    Nor has it a classification depth or a checkpoint directory: it
+    classifies sizes 4 and 5 in memory, in milliseconds, and writes
+    nothing."""
+    for flags in (["--bound", "9"], ["--threshold", "5"], ["--checkpoint-dir", str(tmp_path)]):
+        proc = run_cli("find-min", "--q", "5", *flags)
+        assert proc.returncode == 2, flags
+        assert "unrecognized arguments: " + flags[0] in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_oversized_field_specs_are_malformed(tmp_path, capsys, monkeypatch):
+    """A certificate over the prime 2^61 - 1, over GF(2^100000), or with
+    an integer of 5,000 digits is malformed: verify and stabilizer exit 2
+    with a short message.  The order cap comes before the primality test
+    (guarded here, not timed: trial division to sqrt(2^61) takes minutes)
+    and p^h is never built."""
+    from pgarc import cli, gf
+
+    def guarded(n):
+        assert n <= gf.MAX_ORDER, "is_prime called above the order cap"
+        return is_prime(n)
+
+    is_prime = gf.is_prime
+    monkeypatch.setattr(gf, "is_prime", guarded)
+    text = serialize_certificate(make_certificate(get_plane(5), PGL, standard_frame(get_plane(5))))
+    assert text.count('"p": 5,') == 1 and text.count('"h": 1,') == 1
+    cases = [(text.replace('"p": 5,', '"p": 2305843009213693951,'), "exceeds supported maximum 256"),
+             (text.replace('"h": 1,', '"h": 100000,'), "exceeds supported maximum 256"),
+             (text.replace('"p": 5,', '"p": ' + "1" * 5000 + ","), "malformed certificate")]
+    for i, (bad, message) in enumerate(cases):
+        path = tmp_path / f"oversized{i}.json"
+        path.write_text(bad, encoding="utf-8")
+        for command in ("verify", "stabilizer"):
+            capsys.readouterr()
+            assert cli.main([command, str(path)]) == 2, (i, command)
+            out, err = capsys.readouterr()
+            assert out == "" and message in err and len(err) < 300, (i, command, err[:300])
 
 
 def test_cli_field_order_over_cap_is_budget_error():

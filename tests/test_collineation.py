@@ -179,8 +179,9 @@ def test_any_4_arc_canonicalizes_to_standard_frame():
 def test_canonicalize_small_sets_and_empty():
     """Fewer than 4 points hold no frame: canonicalize, frame_images,
     is_canonical and canonical_children refuse them, and the empty set
-    keeps its own error.  The conventional frame prefixes live on in the
-    oracle."""
+    keeps its own error.  Repeated ids are refused, not merged, so
+    [17, 17, 30, 30] is no 2-point set.  The conventional frame prefixes
+    live on in the oracle."""
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
@@ -188,9 +189,11 @@ def test_canonicalize_small_sets_and_empty():
                   lambda pl, pts: canonical_children(pl, pts, [])):
         with pytest.raises(EmptySetError):
             check(pl, [])
-        for pts in ([0], [17], [0, 1], [17, 30], [0, 1, 6], [17, 30, 4], [17, 17, 30, 30]):
+        for pts in ([0], [17], [0, 1], [17, 30], [0, 1, 6], [17, 30, 4]):
             with pytest.raises(DegenerateSetError, match="at least 4 points"):
                 check(pl, pts)
+        with pytest.raises(DuplicatePointsError):
+            check(pl, [17, 17, 30, 30])
     assert oracles.small_canonical(pl, [17]).canon == (0,)
     assert oracles.small_canonical(pl, [17, 30]).canon == (0, 1)
     tri = oracles.small_canonical(pl, [17, 30, 4])
@@ -649,6 +652,18 @@ def test_stabilizer_rejects_bad_ids():
     for pts in ([0, 1, 8, 16, 16], [0, 1, 8, 8]):
         with pytest.raises(DuplicatePointsError):
             stabilizer(pl, pts, PGL)
+
+
+def test_canonical_forms_reject_repeated_ids():
+    """A repeated id is an error, not a smaller set: (0, 1, 8, 16, 16) at
+    q = 7 would otherwise pass for the frame, and canonical_children
+    would accept 25 as a child of it."""
+    pl = get_plane(7)
+    assert standard_frame(pl) == (0, 1, 8, 16)
+    for check in (canonicalize, frame_images, lambda pl, pts: canonical_children(pl, pts, [25])):
+        for pts in ([0, 1, 8, 16, 16], [0, 1, 8, 16, 0], [25, 0, 1, 8, 16, 25]):
+            with pytest.raises(DuplicatePointsError):
+                check(pl, pts)
 
 
 def test_frame_stabilizer_is_s4():

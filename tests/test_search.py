@@ -67,10 +67,10 @@ def test_worker_count_validated(capsys):
     for bad in (0, -2, 101):
         with pytest.raises(ValueError, match="need 1 <= worker_count <= 100"):
             SearchConfig(q=7, worker_count=bad)
-    for command in ("classify", "find-min"):
+    for command in (["classify", "--threshold", "7"], ["find-min"]):
         for workers in ("0", "-2", "101"):
             capsys.readouterr()
-            rc = cli.main([command, "--q", "7", "--threshold", "7", "--workers", workers])
+            rc = cli.main([*command, "--q", "7", "--workers", workers])
             out, err = capsys.readouterr()
             assert (rc, out) == (2, ""), (command, workers)
             assert err.startswith("error: ")
@@ -268,15 +268,13 @@ def test_classification_deterministic_across_workers():
 
 
 def test_min_complete_size_deterministic_across_workers():
-    """Extension at bound 7 runs over the 15 classes of 6-arcs at q = 11,
+    """Extension at bound 7 runs over the 2 classes of 5-arcs at q = 11,
     and up to bound 9 over the 4 classes of 5-arcs of PG(2,16) under a
     non-default modulus."""
-    for q, threshold, plane, want in [(11, 6, None, (7, 1)),
-                                      (16, 5, alternative_plane_16(), (9, 6))]:
+    for q, plane, want in [(11, None, (7, 1)), (16, alternative_plane_16(), (9, 6))]:
         runs = []
         for kw in WORKER_SETUPS:
-            r = min_complete_size(
-                SearchConfig(q=q, classification_threshold=threshold, **kw), plane)
+            r = min_complete_size(SearchConfig(q=q, **kw), plane)
             runs.append((r.size, r.class_count, r.representatives))
         assert runs[0][:2] == want
         assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -370,27 +368,28 @@ def test_q31_single_branch_extension_smoke():
     + [(q, PGL, 5) for q in (9, 11, 13)],
 )
 def test_orbit_peeling_matches_per_arc_canonical_forms(q, group, threshold):
-    """The census of min_complete_size against canonicalizing every
-    smallest complete arc the extension reports.  At threshold 5 the
-    top level has 2 or 3 classes, so one class of complete arcs can be
+    """The census of min_complete_size, which extends from level 5 and
+    peels orbits, against canonicalizing every smallest complete arc that
+    the oracle's extension from level threshold reports: from the frame
+    at threshold 4, so the level-5 roots lose no class.  At q = 9, 11 and
+    13 level 5 has 2 or 3 classes, so one class of complete arcs can be
     reported under several branches."""
     from oracles import per_arc_min_complete_size
 
     pl = get_plane(q)
     cfg = SearchConfig(q=q, group=group, classification_threshold=threshold)
     t, classes = per_arc_min_complete_size(cfg, pl)
-    if threshold == 5:
-        assert len(classification(q, group, threshold)[-1].representatives) > 1
-    r = find_min(q, group, threshold)
+    if q in (9, 11, 13):
+        assert len(classification(q, group, 5)[-1].representatives) > 1
+    r = find_min(q, group)
     assert (r.size, r.class_count, r.representatives) == (t, len(classes), classes)
 
 
 def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
     """A call-count guard, not a timing gate: at q = 13 the extension
-    reports 400 complete 8-arcs in 2 classes, and the census must not
-    canonicalize them one by one; at q = 11, threshold 6, the extension
-    runs from the 15 classes of 6-arcs.  The search makes no canonicalize
-    call at all."""
+    reports 48 complete 8-arcs in 2 classes, and the census must not
+    canonicalize them one by one; at q = 11 the extension runs from the
+    2 classes of 5-arcs.  The search makes no canonicalize call at all."""
     import pgarc.collineation
     import pgarc.search
 
@@ -404,7 +403,7 @@ def test_min_complete_size_canonicalizes_once_per_class(monkeypatch):
     for module in (pgarc.collineation, pgarc.search):
         if hasattr(module, "canonicalize"):
             monkeypatch.setattr(module, "canonicalize", counted)
-    for q, threshold, want in [(13, 4, (8, 2)), (11, 6, (7, 1))]:
-        r = min_complete_size(SearchConfig(q=q, classification_threshold=threshold), get_plane(q))
+    for q, want in [(13, (8, 2)), (11, (7, 1))]:
+        r = min_complete_size(SearchConfig(q=q), get_plane(q))
         assert (r.size, r.class_count) == want
-        assert calls == [], (q, threshold, len(calls))
+        assert calls == [], (q, len(calls))
