@@ -103,6 +103,8 @@ def _load_certificate(path: str):
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise certificates.MalformedCertificateError(f"{path} is not UTF-8 text: {exc}") from None
     return certificates.parse_certificate(text)
 
 

@@ -656,7 +656,10 @@ def classify_structure(element_orders) -> GroupStructure:
 
 
 def generating_subset(field, elements) -> list[Collineation]:
-    """Greedy small generating set of a closed element list."""
+    """Greedy small generating set of a closed element list: each element,
+    in (frob, matrix) order, that the span of those before it misses.
+    After each new generator the span is closed breadth-first: the old
+    span, then each round's new elements, composed with every generator."""
     full = set(elements)
     gens: list[Collineation] = []
     span = {IDENTITY}
@@ -665,17 +668,15 @@ def generating_subset(field, elements) -> list[Collineation]:
             continue
         gens.append(g)
         frontier = list(span)
-        span.add(g)
-        while True:
+        while frontier:
             new = []
-            for a in list(span):
-                for b in (g, *gens):
+            for a in frontier:
+                for b in gens:
                     c = compose(field, a, b)
                     if c not in span:
                         span.add(c)
                         new.append(c)
-            if not new:
-                break
+            frontier = new
         if span == full:
             break
     return gens

@@ -31,12 +31,9 @@ class NotPrimeError(FieldError):
     """The requested characteristic is not a prime number."""
 
 
-class NotIrreducibleError(FieldError):
-    """The supplied modulus factors over GF(p)."""
-
-
 class NotPrimitiveError(FieldError):
-    """The modulus is irreducible but its root does not generate GF(q)*."""
+    """The root of the modulus does not have multiplicative order q - 1:
+    the modulus factors over GF(p), or it is irreducible but not primitive."""
 
 
 class DegreeMismatchError(FieldError):
@@ -82,31 +79,6 @@ def _neg_code(a: int, p: int) -> int:
         a //= p
         weight *= p
     return res
-
-
-def _poly_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of num mod den over GF(p); den monic. Trimmed result."""
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            num[i] = 0
-            for j in range(dd):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return tuple(num)
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    h = len(modulus) - 1
-    for d in range(1, h // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            if not _poly_rem(modulus, (*tail, 1), p):
-                return False
-    return True
 
 
 def _exp_walk(p: int, h: int, modulus: tuple[int, ...]) -> list[int] | None:
@@ -212,12 +184,14 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
     With modulus="auto" the lexicographically least primitive polynomial of
     the required degree (by ascending-coefficient tuple) is selected, so
     repeated runs build the identical field.  An explicit modulus must be
-    monic of the stated degree, irreducible and primitive; primitivity is
-    verified by brute-force computation of the root's multiplicative order.
+    monic of the stated degree and primitive, which is verified by
+    brute-force computation of the root's multiplicative order.  That
+    walk also rejects a reducible modulus: GF(p)[x]/(m) then has fewer
+    than q - 1 units, so x cannot have order q - 1 there.
     """
     if not isinstance(ext_degree, int) or ext_degree < 1:
         raise DegreeMismatchError(f"extension degree must be >= 1, got {ext_degree}")
-    # capped before the trial division; p**h is built only for h < 9 (2^9 > MAX_ORDER)
+    # capped before any walk; p**h is built only for h < 9 (2^9 > MAX_ORDER)
     if isinstance(p, int) and p > 1 and (
             p > MAX_ORDER or ext_degree >= MAX_ORDER.bit_length() or p**ext_degree > MAX_ORDER):
         raise FieldError(f"field order p^h exceeds supported maximum {MAX_ORDER}")
@@ -242,8 +216,6 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
         )
     if any(not 0 <= c < p for c in mod):
         raise DegreeMismatchError(f"modulus coefficients must lie in [0, {p})")
-    if ext_degree >= 2 and not _is_irreducible(mod, p):
-        raise NotIrreducibleError(f"{list(mod)} factors over GF({p})")
     exp = _exp_walk(p, ext_degree, mod)
     if exp is None:
         raise NotPrimitiveError(

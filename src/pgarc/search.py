@@ -54,9 +54,9 @@ class SearchConfig:
 
     classify reads every field; min_complete_size ignores
     classification_threshold and checkpoint_dir.  worker_count, from 1
-    to 100 (one equal share of 100 each), is how many workers a level or
-    an extension starts, but no more than it has parents; stealing no
-    longer shapes the dispatch (scheduler.run_jobs) and is ignored.
+    to 100, is how many workers a level or an extension starts, but no
+    more than it has parents; stealing no longer shapes the dispatch
+    (scheduler.run_jobs) and is ignored.
     """
 
     q: int
@@ -133,9 +133,9 @@ def _map_reps(config: SearchConfig, fn, reps, each=None) -> list:
     else by scheduler.run_jobs over config.worker_count workers.  each,
     if given, is called on every result in order as soon as it is in."""
     if config.worker_count > 1 and len(reps) > 1:
-        part = scheduler.partition(len(reps), scheduler.equal_proportions(config.worker_count))
+        part = scheduler.Partition(len(reps), config.worker_count)
         job = functools.partial(_apply_at, fn, tuple(reps))
-        return scheduler.run_jobs(part, job, stealing=config.stealing, each=each)
+        return scheduler.run_jobs(part, job, each=each)
     results = []
     for rep in reps:
         results.append(fn(rep))
@@ -169,9 +169,9 @@ def save_level(directory, q: int, group: str, level: ClassificationLevel) -> Pat
     return path
 
 
-def _level_line(plane: Plane, size: int, line: str, path) -> tuple[int, ...]:
+def _level_line(plane: Plane, size: int, line: bytes, path) -> tuple[int, ...]:
     """The arc on one line of a level file: exactly size strictly
-    increasing point ids of the plane, no 3 collinear."""
+    increasing ASCII point ids of the plane, no 3 collinear."""
     try:
         rep = tuple(map(int, line.split()))
     except ValueError:
@@ -179,7 +179,7 @@ def _level_line(plane: Plane, size: int, line: str, path) -> tuple[int, ...]:
     if (len(rep) != size or rep[0] < 0 or rep[-1] >= plane.size
             or any(a >= b for a, b in zip(rep, rep[1:]))
             or plane.collinear_triple(rep) is not None):
-        raise CheckpointError(f"checkpoint {path}: {line.strip()!r} is not "
+        raise CheckpointError(f"checkpoint {path}: {line.strip().decode(errors='replace')!r} is not "
                               f"an arc of {size} increasing ids in [0, {plane.size})")
     return rep
 
@@ -191,10 +191,10 @@ def load_level(directory, plane: Plane, group: str, size: int) -> Classification
     path = Path(directory) / _level_filename(plane.q, group, size)
     if not path.exists():
         return None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
             raise CheckpointError(f"checkpoint {path} has no JSON header: {exc}") from None
         if not isinstance(header, dict) or (
                 header.get("q"), header.get("group"), header.get("size")) != (plane.q, group, size):

@@ -18,9 +18,11 @@ frames (sweep_canonical_children) are the slow references for the
 guided test collineation.canonical_children, canonicalizing every smallest complete
 arc the extension reports is the slow reference for its orbit peeling,
 and a dot product for every point-line pair is the slow reference for
-the plane's incidence tables.  The validated collineation constructor,
-the cross product and the conventional canonical forms of 1 to 3 points
-serve only the tests, so they live here too.
+the plane's incidence tables, and recomposing the whole span with every
+generator until it stops growing is the slow reference for the frontier
+closure of collineation.generating_subset.  The validated collineation
+constructor, the cross product and the conventional canonical forms of
+1 to 3 points serve only the tests, so they live here too.
 """
 
 from __future__ import annotations
@@ -314,6 +316,32 @@ def group_closure(field, generators, cap: int = 10**6) -> set[Collineation]:
             raise RuntimeError("closure exceeded cap")
         frontier = new
     return seen
+
+
+def greedy_generating_subset(field, elements) -> list[Collineation]:
+    """The greedy generating set of collineation.generating_subset, the
+    span recomposed in full with every generator until it stops growing."""
+    full = set(elements)
+    gens: list[Collineation] = []
+    span = {IDENTITY}
+    for g in sorted(full, key=lambda e: (e.frob, e.matrix)):
+        if g in span:
+            continue
+        gens.append(g)
+        span.add(g)
+        while True:
+            new = []
+            for a in list(span):
+                for b in gens:
+                    c = compose(field, a, b)
+                    if c not in span:
+                        span.add(c)
+                        new.append(c)
+            if not new:
+                break
+        if span == full:
+            break
+    return gens
 
 
 def all_pgl_matrices_q2(field) -> list[tuple[int, ...]]:

@@ -323,6 +323,11 @@ def test_cli_verify_malformed_input(tmp_path):
     data["points"][3][1] = 11.7
     path.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(path)).returncode == 2
+    path.write_bytes(b"\xff{}")  # not UTF-8
+    for command in ("verify", "stabilizer"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("malformed certificate: ") and proc.stderr.count("\n") == 1
     assert run_cli("frobnicate").returncode == 2  # argparse usage error
 
 

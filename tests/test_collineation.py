@@ -702,6 +702,19 @@ def test_stabilizer_closure_lagrange_small():
         assert closure == elems
 
 
+def test_generating_subset_matches_full_recomposition():
+    """The frontier closure picks the same generators as recomposing the
+    whole span each round, on the stabilizers of PG(2,2) in PG(2,4) under
+    PGammaL (order 336) and of PG(2,3) in PG(2,9) under PGL (order 5,616)."""
+    for q, group, order in ((4, PGAMMAL, 336), (9, PGL, 5616)):
+        pl = get_plane(q)
+        elements, structure = stabilizer(pl, prime_subplane(pl), group)
+        assert structure.order == order
+        gens = generating_subset(pl.field, elements)
+        assert gens == oracles.greedy_generating_subset(pl.field, elements)
+        assert group_closure(pl.field, gens) == set(elements)
+
+
 def test_structure_names():
     from pgarc.collineation import classify_structure
 

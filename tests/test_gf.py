@@ -1,5 +1,7 @@
 """Field construction and arithmetic."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from pgarc.gf import (
     MAX_ORDER,
     DegreeMismatchError,
     FieldError,
-    NotIrreducibleError,
     NotPrimeError,
     NotPrimitiveError,
     _exp_walk,
@@ -81,7 +82,7 @@ def test_non_primitive_degree5_rejected_per_root_order_oracle():
     if order == 31:
         build_field(2, 5, modulus)
     else:
-        with pytest.raises((NotIrreducibleError, NotPrimitiveError)):
+        with pytest.raises(NotPrimitiveError):
             build_field(2, 5, modulus)
 
 
@@ -92,17 +93,50 @@ def test_construction_errors():
         build_field(2, 5, [1, 0, 1, 1])  # degree 3 polynomial for h=5
     with pytest.raises(DegreeMismatchError):
         build_field(2, 5, [1, 0, 1, 0, 0, 0])  # not monic
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(NotPrimitiveError):
         build_field(3, 2, [2, 0, 1])  # x^2 - 1 = (x-1)(x+1)
     with pytest.raises(NotPrimitiveError):
         build_field(3, 2, [1, 0, 1])  # x^2 + 1 irreducible, root has order 4
 
 
+def has_monic_factor(p, modulus, max_degree):
+    """Trial division of modulus over GF(p) by every monic polynomial of
+    degree 1 to max_degree."""
+    for d in range(1, max_degree + 1):
+        for tail in product(range(p), repeat=d):
+            rem = list(modulus)
+            for i in range(len(rem) - 1, d - 1, -1):
+                c = rem[i]
+                for j, coeff in enumerate((*tail, 1)):
+                    rem[i - d + j] = (rem[i - d + j] - c * coeff) % p
+            if not any(rem):
+                return True
+    return False
+
+
+def test_explicit_modulus_accepted_iff_root_order_is_full():
+    """Every monic modulus of degree h >= 2 for every supported p^h: the
+    root-order walk alone decides, and what it accepts is irreducible."""
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for h in range(2, 9):
+            if p**h > MAX_ORDER:
+                break
+            for tail in product(range(p), repeat=h):
+                modulus = (*tail, 1)
+                checked += 1
+                if brute_force_root_order(p, modulus) == p**h - 1:
+                    assert build_field(p, h, modulus).modulus == modulus
+                    assert not has_monic_factor(p, modulus, h // 2)
+                else:
+                    with pytest.raises(NotPrimitiveError):
+                        build_field(p, h, modulus)
+    assert checked == 1357
+
+
 def test_auto_modulus_is_least_primitive():
     """Deterministic auto selection: the least coefficient tuple whose root
     has full order, checked against the raw-order oracle."""
-    from itertools import product
-
     for p, h in [(2, 5), (3, 2), (2, 2)]:
         expected = None
         for tail in product(range(p), repeat=h):

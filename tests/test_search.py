@@ -212,15 +212,30 @@ def _count_mismatch(lines, plane):
     lines[0] = lines[0].replace(f'"count": {len(lines) - 1}', f'"count": {len(lines)}')
 
 
+def _header_not_utf8(lines, plane):
+    lines[0] = lines[0][:-1] + ', "note": "\xff"}'
+
+
+def _id_line_not_utf8(lines, plane):
+    lines[-1] = "\xff" + lines[-1]
+
+
+def _header_too_many_digits(lines, plane):
+    lines[0] = "1" * 5000
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_last_id, _id_out_of_range, _ids_not_increasing, _collinear_line,
     _not_an_integer, _header_not_json, _count_mismatch,
+    _header_not_utf8, _id_line_not_utf8, _header_too_many_digits,
 ])
 def test_corrupt_checkpoint_rejected(tmp_path, capsys, corrupt):
     """A level-6 file at q = 7 that does not hold the level: load_level
     raises CheckpointError, and classify exits 2 with its message before
     computing level 7.  Before the line checks, a dropped last id gave
-    "size 7: 3 classes" (the right count is 1) and exit 0."""
+    "size 7: 3 classes" (the right count is 1) and exit 0; a byte 0xff,
+    or a header of 5,000 digits, gave a traceback and exit 1.  The file
+    is written in Latin-1, so a U+00FF in a line is the byte 0xff."""
     from pgarc import cli
 
     plane = get_plane(7)
@@ -228,7 +243,7 @@ def test_corrupt_checkpoint_rejected(tmp_path, capsys, corrupt):
     path = tmp_path / "q7_pgl_level6.txt"
     lines = path.read_text().splitlines()
     corrupt(lines, plane)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     with pytest.raises(CheckpointError):
         load_level(tmp_path, plane, PGL, 6)
     capsys.readouterr()
