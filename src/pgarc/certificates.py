@@ -5,12 +5,15 @@ complete, stabilizer order, stabilizer structure).  Verification trusts
 nothing: every claim is recomputed from the field spec up, using only
 the field, plane and collineation layers, so a certificate emitted by
 the search can be checked by a reader that never imports the search.
+One routine, _claims, computes the claims for make_certificate, verify
+and the modulus sweep.
 
 Bundled fixtures carry known complete 14-arcs of PG(2,31) and PG(2,32).
 The PG(2,32) ones are published as pairs of exponents of a primitive
 field generator without a usable modulus; resolve_gf32_polynomial sweeps
-all six degree-5 primitive polynomials over GF(2), reverifies both arcs
-under each, and reports which candidates satisfy every claim.
+all six degree-5 primitive polynomials over GF(2) (gf.primitive_moduli),
+reverifies both arcs under each, and reports which candidates satisfy
+every claim.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import product
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
-from .gf import FieldError, build_field
-from .plane import Plane, build_plane, candidate_mask
+from .gf import FieldError, build_field, primitive_moduli
+from .plane import Plane, _sorted_distinct, build_plane, candidate_mask
 
 CLAIM_KEYS = ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name")
 
@@ -120,31 +122,20 @@ def serialize_certificate(cert: ArcCertificate) -> str:
 
 
 def make_certificate(plane: Plane, group: str, point_ids, meta: dict | None = None) -> ArcCertificate:
-    """Certificate for a point set with claims filled in by recomputation."""
-    ids = sorted(set(point_ids))
+    """Certificate for a point set with claims filled in by recomputation.
+    A repeated id raises DuplicatePointsError."""
+    ids = _sorted_distinct(point_ids, plane.size)
     claims, _ = _claims(plane, group, ids)
-    params = plane.field.params
+    field = plane.field
     return ArcCertificate(
-        p=params.p,
-        h=params.ext_degree,
-        modulus=params.modulus,
+        p=field.p,
+        h=field.h,
+        modulus=field.modulus,
         group=group,
         points=[plane.points[i] for i in ids],
         claims=claims,
         meta=meta,
     )
-
-
-def _recompute(plane: Plane, group: str, ids):
-    """(collinear triple or None, mask of the non-members on no secant,
-    structure or None).  The set is complete iff the mask is 0."""
-    bad = plane.collinear_triple(ids)
-    uncovered = candidate_mask(plane, ids)
-    try:
-        _, structure = stabilizer(plane, ids, group)
-    except DegenerateSetError:
-        structure = None
-    return bad, uncovered, structure
 
 
 def _claims(plane: Plane, group: str, ids) -> tuple[dict, dict]:
@@ -153,7 +144,12 @@ def _claims(plane: Plane, group: str, ids) -> tuple[dict, dict]:
     stabilizer to compute and claims order 0, name "unknown".  The
     is_arc witness is a collinear triple and the is_complete witness the
     first non-member on no secant, as coordinate lists; None otherwise."""
-    bad, uncovered, structure = _recompute(plane, group, ids)
+    bad = plane.collinear_triple(ids)
+    uncovered = candidate_mask(plane, ids)
+    try:
+        _, structure = stabilizer(plane, ids, group)
+    except DegenerateSetError:
+        structure = None
     claims = {
         "is_arc": bad is None,
         "is_complete": uncovered == 0,
@@ -212,15 +208,7 @@ def degree5_primitive_moduli() -> list[tuple[int, ...]]:
     """All primitive degree-5 polynomials over GF(2), in ascending
     coefficient-tuple order.  There are exactly six: 30 generators of
     GF(32)* in 5-element conjugacy classes."""
-    out = []
-    for tail in product(range(2), repeat=5):
-        cand = (*tail, 1)
-        try:
-            build_field(2, 5, cand)
-        except FieldError:
-            continue
-        out.append(cand)
-    return out
+    return [modulus for modulus, _ in primitive_moduli(2, 5)]
 
 
 def points_from_exponents(field, exponents) -> list[tuple[int, int, int]]:
@@ -235,22 +223,13 @@ def _sweep_case(plane: Plane, exponents, want_order: int, want_name: str) -> dic
     triples = points_from_exponents(plane.field, exponents)
     ids = sorted({plane.point_id(t) for t in triples})
     # a repeat fails the case through "distinct"; claims use the distinct points
-    result: dict = {"distinct": len(ids) == len(triples)}
-    bad, uncovered, structure = _recompute(plane, PGAMMAL, ids)
-    complete = uncovered == 0
-    result["is_arc"] = bad is None
-    if bad is not None:
-        result["collinear_triple"] = [list(plane.points[i]) for i in bad]
-    result["is_complete"] = complete
-    result["stabilizer_order"] = structure.order if structure else None
-    result["stabilizer_name"] = structure.name if structure else None
-    result["passes"] = (
-        result["distinct"]
-        and result["is_arc"]
-        and complete
-        and result["stabilizer_order"] == want_order
-        and result["stabilizer_name"] == want_name
-    )
+    claims, witnesses = _claims(plane, PGAMMAL, ids)
+    result: dict = {"distinct": len(ids) == len(triples), "is_arc": claims["is_arc"]}
+    if witnesses["is_arc"] is not None:
+        result["collinear_triple"] = witnesses["is_arc"]
+    result.update((k, claims[k]) for k in CLAIM_KEYS[1:])
+    want = dict(zip(CLAIM_KEYS, (True, True, want_order, want_name)))
+    result["passes"] = result["distinct"] and claims == want
     return result
 
 

@@ -40,6 +40,8 @@ def _add_run_flags(sub):
 def _make_config(args, **knobs) -> SearchConfig:
     try:
         return SearchConfig(q=args.q, group=args.group, worker_count=args.workers, **knobs)
+    except FieldError:
+        raise  # a field order over the cap: exit 3, like a plane over capacity
     except ValueError as exc:
         raise _UsageError(str(exc))
 

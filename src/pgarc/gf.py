@@ -2,11 +2,13 @@
 
 Elements are integer codes in [0, q): the polynomial c0 + c1*x + ... is
 encoded as c0 + c1*p + c2*p^2 + ...  Code 0 is the additive zero and
-code 1 the multiplicative unit.  Discrete exp/log tables for a primitive
-root of the modulus give the tables of inverses and of the Frobenius
-maps; addition (digitwise mod p on the codes) and multiplication are
-looked up in q x q flat tables, which the geometry and search layers
-index directly.
+code 1 the multiplicative unit.  primitive_moduli is the one walk over
+the monic moduli of a degree: it keeps those whose root has order q - 1,
+with the root's exp table.  The exp/log tables give the tables of
+negatives (-1 is a power of the root), inverses and Frobenius maps;
+addition (digitwise mod p on the codes) and multiplication are looked
+up in q x q flat tables, which the geometry and search layers index
+directly.
 
 The integer encoding gives every field a total order (plain integer
 order on codes), which downstream code relies on for reproducible
@@ -15,7 +17,6 @@ lexicographic comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 # Hard cap on the field order: the flat tables hold q^2 entries each, and
@@ -41,18 +42,10 @@ class DegreeMismatchError(FieldError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    try:
+        return factor_prime_power(n) == (n, 1)
+    except ValueError:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _add_codes(a: int, b: int, p: int) -> int:
@@ -65,18 +58,6 @@ def _add_codes(a: int, b: int, p: int) -> int:
         res += ((a % p) + (b % p)) % p * weight
         a //= p
         b //= p
-        weight *= p
-    return res
-
-
-def _neg_code(a: int, p: int) -> int:
-    res = 0
-    weight = 1
-    while a:
-        d = a % p
-        if d:
-            res += (p - d) * weight
-        a //= p
         weight *= p
     return res
 
@@ -108,33 +89,33 @@ def _exp_walk(p: int, h: int, modulus: tuple[int, ...]) -> list[int] | None:
     return exp
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Defining data of GF(q): characteristic, extension degree, modulus."""
-
-    p: int
-    ext_degree: int
-    modulus: tuple[int, ...]
-    q: int
+def primitive_moduli(p: int, h: int):
+    """(modulus, exp) for every monic primitive modulus of degree h over
+    GF(p), in ascending coefficient-tuple order; exp is its _exp_walk."""
+    for tail in product(range(p), repeat=h):
+        modulus = (*tail, 1)
+        exp = _exp_walk(p, h, modulus)
+        if exp is not None:
+            yield modulus, exp
 
 
 class FieldTable:
     """Arithmetic tables for one field GF(q). Immutable after construction;
     safe to share across any number of concurrent readers."""
 
-    def __init__(self, params: FieldParams, exp: list[int]):
-        self.params = params
-        self.p = params.p
-        self.h = params.ext_degree
-        self.q = params.q
-        self.modulus = params.modulus
-        q = self.q
+    def __init__(self, p: int, h: int, modulus: tuple[int, ...], exp: list[int]):
+        self.p = p
+        self.h = h
+        self.q = q = p**h
+        self.modulus = modulus
         self.exp = exp
         log: list[int | None] = [None] * q
         for k, code in enumerate(exp):
             log[code] = k
         self.log = log
-        self.neg_list = [_neg_code(a, self.p) for a in range(q)]
+        # -a = a * (-1), and -1 = root^((q-1)/2) for odd p, 1 for p = 2
+        half = (q - 1) // 2 if p > 2 else 0
+        self.neg_list = [0] + [exp[(log[a] + half) % (q - 1)] for a in range(1, q)]
         inv: list[int | None] = [None] * q
         for a in range(1, q):
             inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
@@ -181,8 +162,8 @@ class FieldTable:
 def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
     """Construct GF(p^ext_degree).
 
-    With modulus="auto" the lexicographically least primitive polynomial of
-    the required degree (by ascending-coefficient tuple) is selected, so
+    With modulus="auto" the first modulus of primitive_moduli, the least
+    primitive polynomial by ascending-coefficient tuple, is selected, so
     repeated runs build the identical field.  An explicit modulus must be
     monic of the stated degree and primitive, which is verified by
     brute-force computation of the root's multiplicative order.  That
@@ -197,17 +178,11 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
         raise FieldError(f"field order p^h exceeds supported maximum {MAX_ORDER}")
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    q = p**ext_degree
 
     if isinstance(modulus, str):
         if modulus != "auto":
             raise DegreeMismatchError(f"unknown modulus spec {modulus!r}")
-        for tail in product(range(p), repeat=ext_degree):
-            cand = (*tail, 1)
-            exp = _exp_walk(p, ext_degree, cand)
-            if exp is not None:
-                return FieldTable(FieldParams(p, ext_degree, cand, q), exp)
-        raise FieldError(f"no primitive polynomial found for GF({q})")  # unreachable
+        return FieldTable(p, ext_degree, *next(primitive_moduli(p, ext_degree)))
 
     mod = tuple(int(c) for c in modulus)
     if len(mod) != ext_degree + 1 or mod[-1] != 1:
@@ -219,9 +194,9 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
     exp = _exp_walk(p, ext_degree, mod)
     if exp is None:
         raise NotPrimitiveError(
-            f"root of {list(mod)} does not have multiplicative order {q - 1}"
+            f"root of {list(mod)} does not have multiplicative order {p**ext_degree - 1}"
         )
-    return FieldTable(FieldParams(p, ext_degree, mod, q), exp)
+    return FieldTable(p, ext_degree, mod, exp)
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

@@ -36,7 +36,7 @@ from pathlib import Path
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
 from .collineation import GROUPS, PGL, canonical_children, frame_images, standard_frame
-from .gf import build_field, factor_prime_power
+from .gf import MAX_ORDER, FieldError, build_field, factor_prime_power
 from .plane import Plane, build_plane
 
 
@@ -74,6 +74,8 @@ class SearchConfig:
             raise ValueError(
                 f"need classification_threshold >= 4, got {self.classification_threshold}"
             )
+        if self.q > MAX_ORDER:  # before the trial division of factor_prime_power
+            raise FieldError(f"field order {self.q} exceeds supported maximum {MAX_ORDER}")
         factor_prime_power(self.q)  # raises for non prime powers
         if not 1 <= self.worker_count <= 100:
             raise ValueError(f"need 1 <= worker_count <= 100, got {self.worker_count}")
@@ -209,20 +211,24 @@ def load_level(directory, plane: Plane, group: str, size: int) -> Classification
 def classify(config: SearchConfig, plane: Plane | None = None) -> list[ClassificationLevel]:
     """Exact class representatives of arcs for sizes 4..threshold.
 
-    Orderly generation (module docstring).  With worker_count > 1 the
-    parents of a level are dispatched by scheduler.run_jobs: each worker
-    gets the parent-children function, which holds the caller's plane and
-    the level, once, then takes one parent index at a time, in index
-    order, whenever it is free.  max_level_classes is checked on each
-    parent's children as they come in, in parent order, so 1 and n
-    workers stop at the same parent with the same message, and the
-    workers are stopped before MemoryBudgetExceededError propagates.
+    Orderly generation (module docstring), in plane, default_plane(q) if
+    None; a plane of another order than config.q raises ValueError.  With
+    worker_count > 1 the parents of a level are dispatched by
+    scheduler.run_jobs: each worker gets the parent-children function,
+    which holds the caller's plane and the level, once, then takes one
+    parent index at a time, in index order, whenever it is free.
+    max_level_classes is checked on each parent's children as they come
+    in, in parent order, so 1 and n workers stop at the same parent with
+    the same message, and the workers are stopped before
+    MemoryBudgetExceededError propagates.
     The threshold is clamped to the largest nonempty level.  With a
     checkpoint directory, completed levels are written out and a rerun
     resumes after the last complete one; a checkpoint that does not hold
     its level raises CheckpointError.
     """
     plane = plane if plane is not None else default_plane(config.q)
+    if plane.q != config.q:
+        raise ValueError(f"the plane has order {plane.q}, the config asks for q = {config.q}")
     group, budget = config.group, config.max_level_classes
     ckdir = config.checkpoint_dir
     if ckdir:
@@ -345,6 +351,7 @@ def min_complete_size(config: SearchConfig, plane: Plane | None = None) -> MinCo
     which extend reports as its own root.  The bound grows from
     max(lower_bound(q), top size) until the extension of the top level
     reports something; _peel_orbits sorts the smallest into classes.
+    The plane is checked by classify, which runs first.
     """
     plane = plane if plane is not None else default_plane(config.q)
     top = classify(replace(config, classification_threshold=5, checkpoint_dir=None), plane)[-1]

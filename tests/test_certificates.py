@@ -18,6 +18,7 @@ from pgarc.certificates import (
     verify,
 )
 from pgarc.collineation import PGL, standard_frame
+from pgarc.plane import DuplicatePointsError
 from support import get_plane
 
 ARC_FIXTURES = ["arc14_q31_s3", "arc14_q32_z4", "arc14_q32_z5"]
@@ -216,6 +217,14 @@ def test_verify_rejects_duplicate_points():
         verify(cert)
 
 
+def test_make_certificate_rejects_repeated_ids():
+    """A repeated id raises, as in canonical forms and stabilizers; it is
+    not merged into a certificate of fewer points."""
+    with pytest.raises(DuplicatePointsError, match="point 16 is repeated"):
+        make_certificate(get_plane(7), PGL, [0, 1, 8, 16, 16])
+    assert len(make_certificate(get_plane(7), PGL, [16, 0, 8, 1]).points) == 4
+
+
 def test_verify_accepts_any_primitive_modulus_of_prime_field():
     """Prime-field arithmetic does not depend on the linear modulus, so a
     certificate re-specified with a different primitive root still checks."""
@@ -256,6 +265,27 @@ def test_resolution_report_is_committed_and_consistent():
         cert = load_fixture(name)
         assert list(cert.modulus) in report["passing"]
         assert cert.meta["modulus_resolution"] == "gf32_resolution.json"
+
+
+def test_sweep_builds_one_field_per_modulus(monkeypatch):
+    """The six moduli come from one walk that builds no field; the sweep
+    then builds each field once."""
+    from pgarc import certificates, gf
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    calls = []
+    build = gf.build_field
+    monkeypatch.setattr(gf, "build_field", counted)
+    monkeypatch.setattr(certificates, "build_field", counted)
+    moduli = certificates.degree5_primitive_moduli()
+    assert len(moduli) == 6 and calls == []
+    z4, z5 = load_fixture("arc14_q32_z4"), load_fixture("arc14_q32_z5")
+    certificates.resolve_gf32_polynomial(z4.meta["generator_exponents"],
+                                         z5.meta["generator_exponents"])
+    assert calls == [(2, 5, list(m)) for m in moduli]
 
 
 def test_sweep_case_recomputes_on_distinct_points():
@@ -486,3 +516,24 @@ def test_cli_field_order_over_cap_is_budget_error():
     proc = run_cli("classify", "--q", "257", "--threshold", "4")
     assert proc.returncode == 3
     assert "exceeds supported maximum 256" in proc.stderr
+
+
+def test_cli_search_order_cap_comes_before_factoring(capsys, monkeypatch):
+    """classify and find-min refuse a q over the order cap with exit 3
+    before q is factored (guarded here, not timed: trial division to
+    sqrt(2^61 - 1) takes minutes)."""
+    from pgarc import cli, gf, search
+
+    def guarded(n):
+        assert n <= gf.MAX_ORDER, "factor_prime_power called above the order cap"
+        return factor(n)
+
+    factor = gf.factor_prime_power
+    for module in (gf, search, cli):
+        monkeypatch.setattr(module, "factor_prime_power", guarded)
+    for command, flags in (("classify", ["--threshold", "5"]), ("find-min", [])):
+        for q in ("2305843009213693951", "257"):
+            capsys.readouterr()
+            assert cli.main([command, "--q", q, *flags]) == 3, (command, q)
+            out, err = capsys.readouterr()
+            assert out == "" and "exceeds supported maximum 256" in err, (command, q, err)

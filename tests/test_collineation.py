@@ -695,9 +695,8 @@ def test_stabilizer_closure_lagrange_small():
         assert len(elems) == structure.order
         for a in elems:
             assert inverse(pl.field, a) in elems
-            for b in elems:
-                assert compose(pl.field, a, b) in elems
         assert group_order(q, group) % structure.order == 0
+        # a closure equal to elems: elems is closed under compose
         closure = group_closure(pl.field, generating_subset(pl.field, elements))
         assert closure == elems
 

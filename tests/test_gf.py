@@ -16,6 +16,7 @@ from pgarc.gf import (
     build_field,
     factor_prime_power,
     is_prime,
+    primitive_moduli,
 )
 from support import get_field
 
@@ -116,21 +117,27 @@ def has_monic_factor(p, modulus, max_degree):
 
 def test_explicit_modulus_accepted_iff_root_order_is_full():
     """Every monic modulus of degree h >= 2 for every supported p^h: the
-    root-order walk alone decides, and what it accepts is irreducible."""
+    root-order walk alone decides, and what it accepts is irreducible.
+    primitive_moduli lists exactly the accepted moduli, in order, with
+    build_field's exp tables."""
     checked = 0
     for p in (2, 3, 5, 7, 11, 13):
         for h in range(2, 9):
             if p**h > MAX_ORDER:
                 break
+            accepted = []
             for tail in product(range(p), repeat=h):
                 modulus = (*tail, 1)
                 checked += 1
                 if brute_force_root_order(p, modulus) == p**h - 1:
-                    assert build_field(p, h, modulus).modulus == modulus
+                    field = build_field(p, h, modulus)
+                    assert field.modulus == modulus
                     assert not has_monic_factor(p, modulus, h // 2)
+                    accepted.append((modulus, field.exp))
                 else:
                     with pytest.raises(NotPrimitiveError):
                         build_field(p, h, modulus)
+            assert list(primitive_moduli(p, h)) == accepted, (p, h)
     assert checked == 1357
 
 
@@ -212,6 +219,29 @@ def test_inverse_and_negation_properties(q, data):
     if a:
         assert f.mul(a, f.inv_list[a]) == 1
         assert f.inv_list[f.inv_list[a]] == a
+
+
+def test_negation_in_every_field():
+    """neg_list, read from the log table, is the additive inverse of every
+    element of every field of order <= 256."""
+    for q in range(2, MAX_ORDER + 1):
+        try:
+            p, h = factor_prime_power(q)
+        except ValueError:
+            continue
+        f = build_field(p, h)
+        for a in range(q):
+            assert f.add(a, f.neg_list[a]) == 0, (q, a)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 300
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, limit):
+        if sieve[n]:
+            for m in range(n * n, limit, n):
+                sieve[m] = False
+    assert [is_prime(n) for n in range(-2, limit)] == [False, False] + sieve
 
 
 def test_factor_prime_power():

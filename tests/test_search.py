@@ -295,6 +295,20 @@ def test_min_complete_size_deterministic_across_workers():
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def test_search_refuses_a_plane_of_another_order(tmp_path):
+    """A plane whose order is not config.q raises before any work, and no
+    checkpoint is written; a plane over a non-default modulus of the same
+    order is allowed."""
+    with pytest.raises(ValueError, match="plane has order 11"):
+        min_complete_size(SearchConfig(q=13), get_plane(11))
+    config = SearchConfig(q=31, classification_threshold=5, checkpoint_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="plane has order 7"):
+        classify(config, get_plane(7))
+    assert list(tmp_path.iterdir()) == []
+    config = SearchConfig(q=16, classification_threshold=5)
+    assert [lv.count for lv in classify(config, alternative_plane_16())] == [1, 4]
+
+
 def test_worker_path_under_spawn(monkeypatch):
     """Under the spawn start method each worker unpickles the job
     function, which holds the caller's plane and the level, and imports
