@@ -13,14 +13,19 @@ The PG(2,32) ones are published as pairs of exponents of a primitive
 field generator without a usable modulus; resolve_gf32_polynomial sweeps
 all six degree-5 primitive polynomials over GF(2) (gf.primitive_moduli),
 reverifies both arcs under each, and reports which candidates satisfy
-every claim.
+every claim.  Any two fields of order 32 are isomorphic, so the sweep
+builds one plane, over the first modulus, and reads the points of each
+candidate there through the isomorphism.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 from importlib import resources
+from itertools import combinations
+from operator import xor
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
 from .gf import FieldError, build_field, primitive_moduli
@@ -219,14 +224,27 @@ def points_from_exponents(field, exponents) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _sweep_case(plane: Plane, exponents, want_order: int, want_name: str) -> dict:
-    triples = points_from_exponents(plane.field, exponents)
-    ids = sorted({plane.point_id(t) for t in triples})
+def _sweep_case(plane: Plane, field, exponents, want_order: int, want_name: str) -> dict:
+    """The claims of the points published over field, a field of order
+    32, computed in plane through the isomorphism that sends the root of
+    field.modulus to root0^k, k the least with field.modulus(root0^k) = 0;
+    every claim is invariant under it.  The collinear triple is written
+    over field, the first in its point order, which is that of the codes."""
+    exp0 = plane.field.exp
+    k = next(k for k in range(1, 31) if not reduce(
+        xor, (exp0[k * i % 31] for i, c in enumerate(field.modulus) if c)))
+    phi = [0] * 32
+    for j, code in enumerate(field.exp):
+        phi[code] = exp0[k * j % 31]
+    triples = points_from_exponents(field, exponents)
+    ids = sorted({plane.point_index[t] for t in triples})  # ids over field
+    image = {i: plane.point_index[tuple(phi[c] for c in plane.points[i])] for i in ids}
     # a repeat fails the case through "distinct"; claims use the distinct points
-    claims, witnesses = _claims(plane, PGAMMAL, ids)
+    claims, _ = _claims(plane, PGAMMAL, sorted(image.values()))
     result: dict = {"distinct": len(ids) == len(triples), "is_arc": claims["is_arc"]}
-    if witnesses["is_arc"] is not None:
-        result["collinear_triple"] = witnesses["is_arc"]
+    if not claims["is_arc"]:
+        bad = next(t for t in combinations(ids, 3) if plane.collinear(*(image[i] for i in t)))
+        result["collinear_triple"] = [list(plane.points[i]) for i in bad]
     result.update((k, claims[k]) for k in CLAIM_KEYS[1:])
     want = dict(zip(CLAIM_KEYS, (True, True, want_order, want_name)))
     result["passes"] = result["distinct"] and claims == want
@@ -235,23 +253,24 @@ def _sweep_case(plane: Plane, exponents, want_order: int, want_name: str) -> dic
 
 def resolve_gf32_polynomial(k2_exponents, k3_exponents):
     """Sweep the six candidate moduli for GF(32) and reverify both
-    published 14-arcs under each.  Returns (passing moduli, report);
-    an empty passing list is reported, not raised."""
+    published 14-arcs under each, in the one plane over the first
+    modulus.  Returns (passing moduli, report); an empty passing list
+    is reported, not raised."""
     k2 = [tuple(e) for e in k2_exponents]
     k3 = [tuple(e) for e in k3_exponents]
     report = {"candidates": []}
     passing = []
-    for modulus in degree5_primitive_moduli():
-        field = build_field(2, 5, list(modulus))
-        plane = build_plane(field)
+    fields = [build_field(2, 5, list(m)) for m in degree5_primitive_moduli()]
+    plane = build_plane(fields[0])
+    for field in fields:
         entry = {
-            "modulus": list(modulus),
-            "arc_z4": _sweep_case(plane, k2, 4, "Z4"),
-            "arc_z5": _sweep_case(plane, k3, 5, "Z5"),
+            "modulus": list(field.modulus),
+            "arc_z4": _sweep_case(plane, field, k2, 4, "Z4"),
+            "arc_z5": _sweep_case(plane, field, k3, 5, "Z5"),
         }
         entry["passes"] = entry["arc_z4"]["passes"] and entry["arc_z5"]["passes"]
         if entry["passes"]:
-            passing.append(modulus)
+            passing.append(field.modulus)
         report["candidates"].append(entry)
     report["passing"] = [list(m) for m in passing]
     return passing, report

@@ -41,11 +41,22 @@ class DegreeMismatchError(FieldError):
     """The supplied modulus does not have the requested degree/shape."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); factor_prime_power refuses q above it.
+PRIME_POWER_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    try:
-        return factor_prime_power(n) == (n, 1)
-    except ValueError:
-        return False
+    """Miller-Rabin to the bases _BASES: exact below PRIME_POWER_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d * 2^s with d odd; n is a strong probable prime to base a
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _BASES)
 
 
 def _add_codes(a: int, b: int, p: int) -> int:
@@ -200,19 +211,14 @@ def build_field(p: int, ext_degree: int = 1, modulus="auto") -> FieldTable:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, h) with q = p^h, or raise ValueError."""
+    """Return (p, h) with q = p^h, or raise ValueError: the h-th root
+    of q, for each h up to log2 q, tested with Miller-Rabin."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, h
-        p += 1
-    return q, 1
+    if q >= PRIME_POWER_LIMIT:
+        raise ValueError(f"{q} is not below {PRIME_POWER_LIMIT}, the limit of the primality test")
+    for h in range(1, q.bit_length()):
+        r = q if h == 1 else round(q ** (1 / h))  # exact for an h-th power
+        if r**h == q and is_prime(r):
+            return r, h
+    raise ValueError(f"{q} is not a prime power")

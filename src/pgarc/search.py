@@ -74,7 +74,7 @@ class SearchConfig:
             raise ValueError(
                 f"need classification_threshold >= 4, got {self.classification_threshold}"
             )
-        if self.q > MAX_ORDER:  # before the trial division of factor_prime_power
+        if self.q > MAX_ORDER:  # before q is factored
             raise FieldError(f"field order {self.q} exceeds supported maximum {MAX_ORDER}")
         factor_prime_power(self.q)  # raises for non prime powers
         if not 1 <= self.worker_count <= 100:

@@ -20,7 +20,10 @@ arc the extension reports is the slow reference for its orbit peeling,
 and a dot product for every point-line pair is the slow reference for
 the plane's incidence tables, and recomposing the whole span with every
 generator until it stops growing is the slow reference for the frontier
-closure of collineation.generating_subset.  The validated collineation
+closure of collineation.generating_subset, and a plane built over each
+candidate modulus is the slow reference for the GF(32) sweep of
+pgarc.certificates, which computes in one plane through the field
+isomorphism.  The validated collineation
 constructor, the cross product and the conventional canonical forms of
 1 to 3 points serve only the tests, so they live here too.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from pgarc.arcs import candidate_mask, iter_bits
+from pgarc.certificates import CLAIM_KEYS, _claims, degree5_primitive_moduli, points_from_exponents
 from pgarc.collineation import (
     IDENTITY,
     PGAMMAL,
@@ -52,6 +56,8 @@ from pgarc.collineation import (
     frame_map,
     standard_frame,
 )
+from pgarc.gf import build_field
+from pgarc.plane import build_plane
 from pgarc.search import SearchConfig, classify, extend, lower_bound
 
 
@@ -758,3 +764,41 @@ def per_arc_min_complete_size(config: SearchConfig, plane):
             return t, sorted({canonicalize(plane, a, config.group).canon
                               for a in found if len(a) == t})
     raise RuntimeError(f"no complete arc found up to size {config.q + 2}")
+
+
+def _sweep_case(plane, exponents, want_order: int, want_name: str) -> dict:
+    triples = points_from_exponents(plane.field, exponents)
+    ids = sorted({plane.point_id(t) for t in triples})
+    # a repeat fails the case through "distinct"; claims use the distinct points
+    claims, witnesses = _claims(plane, PGAMMAL, ids)
+    result: dict = {"distinct": len(ids) == len(triples), "is_arc": claims["is_arc"]}
+    if witnesses["is_arc"] is not None:
+        result["collinear_triple"] = witnesses["is_arc"]
+    result.update((k, claims[k]) for k in CLAIM_KEYS[1:])
+    want = dict(zip(CLAIM_KEYS, (True, True, want_order, want_name)))
+    result["passes"] = result["distinct"] and claims == want
+    return result
+
+
+def resolve_gf32_polynomial(k2_exponents, k3_exponents):
+    """Sweep the six candidate moduli for GF(32) and reverify both
+    published 14-arcs under each.  Returns (passing moduli, report);
+    an empty passing list is reported, not raised."""
+    k2 = [tuple(e) for e in k2_exponents]
+    k3 = [tuple(e) for e in k3_exponents]
+    report = {"candidates": []}
+    passing = []
+    for modulus in degree5_primitive_moduli():
+        field = build_field(2, 5, list(modulus))
+        plane = build_plane(field)
+        entry = {
+            "modulus": list(modulus),
+            "arc_z4": _sweep_case(plane, k2, 4, "Z4"),
+            "arc_z5": _sweep_case(plane, k3, 5, "Z5"),
+        }
+        entry["passes"] = entry["arc_z4"]["passes"] and entry["arc_z5"]["passes"]
+        if entry["passes"]:
+            passing.append(modulus)
+        report["candidates"].append(entry)
+    report["passing"] = [list(m) for m in passing]
+    return passing, report

@@ -1,8 +1,10 @@
 """Certificate schema, verification, fixtures and the CLI."""
 
 import json
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +21,7 @@ from pgarc.certificates import (
 )
 from pgarc.collineation import PGL, standard_frame
 from pgarc.plane import DuplicatePointsError
+import oracles
 from support import get_plane
 
 ARC_FIXTURES = ["arc14_q31_s3", "arc14_q32_z4", "arc14_q32_z5"]
@@ -295,12 +298,67 @@ def test_sweep_case_recomputes_on_distinct_points():
 
     pl = get_plane(32)
     exponents = [tuple(e) for e in load_fixture("arc14_q32_z5").meta["generator_exponents"]]
-    clean = _sweep_case(pl, exponents, 5, "Z5")
-    repeated = _sweep_case(pl, exponents + [exponents[0], (0, 0)], 5, "Z5")
+    clean = _sweep_case(pl, pl.field, exponents, 5, "Z5")
+    repeated = _sweep_case(pl, pl.field, exponents + [exponents[0], (0, 0)], 5, "Z5")
     assert clean["distinct"] and not repeated["distinct"]
     assert not repeated["passes"]
     for key in ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name"):
         assert repeated[key] == clean[key], key
+
+
+def test_sweep_matches_the_per_modulus_oracle():
+    """The sweep in one plane through the field isomorphism gives the
+    report of a plane built over each modulus, on the fixtures and on
+    seeded random exponent sets for every modulus: arcs, non-arcs with
+    several collinear triples, where the witness is the first in the
+    candidate field's point order, and sets with a repeated pair."""
+    from pgarc import certificates
+    from pgarc.gf import build_field
+    from pgarc.plane import build_plane
+
+    z4, z5 = (load_fixture(n).meta["generator_exponents"] for n in ("arc14_q32_z4", "arc14_q32_z5"))
+    assert certificates.resolve_gf32_polynomial(z4, z5) == oracles.resolve_gf32_polynomial(z4, z5)
+
+    rng = random.Random(2021)
+    sets = []
+    for size in [2, 3, 4, 5, 6, 8, 10, 12, 14, 16] * 2:
+        exps = [(rng.randrange(31), rng.randrange(31)) for _ in range(size)]
+        if len(sets) % 4 == 3:
+            exps.append(exps[0])
+        sets.append(exps)
+    fields = [build_field(2, 5, list(m)) for m in certificates.degree5_primitive_moduli()]
+    plane0 = build_plane(fields[0])
+    several = 0
+    for field in fields:
+        plane = build_plane(field)
+        for exps in sets:
+            got = certificates._sweep_case(plane0, field, exps, 4, "Z4")
+            assert got == oracles._sweep_case(plane, exps, 4, "Z4"), (field.modulus, exps)
+            ids = sorted({plane.point_id(t) for t in certificates.points_from_exponents(field, exps)})
+            several += sum(plane.collinear(*t) for t in combinations(ids, 3)) > 1
+    assert several >= 20 and sum(len(set(e)) < len(e) for e in sets) >= 4
+
+
+def test_sweep_builds_one_plane(monkeypatch):
+    """The sweep builds one plane, not one per modulus; a certify pass,
+    three fixtures verified and the sweep, builds four."""
+    from pgarc import certificates
+
+    def counted(field):
+        calls.append(field.modulus)
+        return build(field)
+
+    calls = []
+    build = certificates.build_plane
+    monkeypatch.setattr(certificates, "build_plane", counted)
+    z4, z5 = (load_fixture(n).meta["generator_exponents"] for n in ("arc14_q32_z4", "arc14_q32_z5"))
+    certificates.resolve_gf32_polynomial(z4, z5)
+    assert calls == [certificates.degree5_primitive_moduli()[0]]
+    calls.clear()
+    for name in ARC_FIXTURES:
+        assert verify(load_fixture(name)).valid
+    certificates.resolve_gf32_polynomial(z4, z5)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +384,15 @@ def test_cli_bound():
     proc = run_cli("bound", "--q", "31")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+def test_cli_bound_large_q():
+    """A prime near 2^61 is factored at once; a q from the limit of the
+    primality test on is a usage error, exit 2."""
+    proc = run_cli("bound", "--q", "2305843009213693951", timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "2630119585\n"
+    proc = run_cli("bound", "--q", str(10**25))
+    assert proc.returncode == 2 and "the limit of the primality test" in proc.stderr
 
 
 def test_cli_verify_valid_certificate(tmp_path):
@@ -487,8 +554,7 @@ def test_cli_oversized_field_specs_are_malformed(tmp_path, capsys, monkeypatch):
     """A certificate over the prime 2^61 - 1, over GF(2^100000), or with
     an integer of 5,000 digits is malformed: verify and stabilizer exit 2
     with a short message.  The order cap comes before the primality test
-    (guarded here, not timed: trial division to sqrt(2^61) takes minutes)
-    and p^h is never built."""
+    (guarded here) and p^h is never built."""
     from pgarc import cli, gf
 
     def guarded(n):
@@ -520,8 +586,7 @@ def test_cli_field_order_over_cap_is_budget_error():
 
 def test_cli_search_order_cap_comes_before_factoring(capsys, monkeypatch):
     """classify and find-min refuse a q over the order cap with exit 3
-    before q is factored (guarded here, not timed: trial division to
-    sqrt(2^61 - 1) takes minutes)."""
+    before q is factored (guarded here)."""
     from pgarc import cli, gf, search
 
     def guarded(n):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pgarc.gf import (
     MAX_ORDER,
+    PRIME_POWER_LIMIT,
     DegreeMismatchError,
     FieldError,
     NotPrimeError,
@@ -252,6 +253,32 @@ def test_factor_prime_power():
         factor_prime_power(12)
     with pytest.raises(ValueError):
         factor_prime_power(1)
+
+
+def test_factor_prime_power_of_large_q():
+    """Roots of q tested with Miller-Rabin, not trial division to sqrt(q):
+    a prime near 2^61 and 3^40 are factored, a prime times 3 and
+    10^24 + 1 = (10^8 + 1)(10^16 - 10^8 + 1) are not prime powers, and q
+    from the limit of the primality test on is refused."""
+    assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert factor_prime_power(3**40) == (3, 40)
+    assert factor_prime_power(2**80) == (2, 80)
+    assert factor_prime_power(1000003**3) == (1000003, 3)
+    for q in ((2**61 - 1) * 3, 10**24 + 1):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(q)
+    for q in (PRIME_POWER_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError, match="the limit of the primality test"):
+            factor_prime_power(q)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """Each of these is the least strong pseudoprime to the first k prime
+    bases for some k from 4 to 12, so k bases would call it prime."""
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
 
 
 def test_field_order_cap():
