@@ -3,11 +3,11 @@
 Points and lines are normalized homogeneous triples of field codes (first
 nonzero coordinate scaled to 1) indexed by their rank in lexicographic
 order of the coordinate codes.  The same normalized triples serve as line
-coefficient vectors, so points and lines share one indexing.  All tables
-are precomputed densely and immutable after construction: the point list,
-per-line point lists and bitmasks, and the pair -> line lookup as one row
-per point.  Each line's points are solved from its equation and row a is
-filled from the lines through a: O(q^3) lookups, no dot product.
+coefficient vectors, so points and lines share one indexing.  The point
+list and the per-line point lists and bitmasks are built densely, each
+line's points solved from its equation, no dot product.  The pair -> line
+lookup has one row per point, filled from the lines through it when first
+read: a search reads few of the n rows.  No value a reader sees changes.
 """
 
 from __future__ import annotations
@@ -46,6 +46,28 @@ def _sorted_distinct(ids, n: int) -> list[int]:
     return pts
 
 
+class _LineRows(dict):
+    """The pair -> line lookup: row a maps each other point to its line with
+    a, and a to -1, filled on first read from the lines through a, which are
+    the points of line a.  A key outside [0, n) or not an int raises."""
+
+    def __init__(self, on_line: list[tuple[int, ...]]):
+        super().__init__()
+        self.on_line = on_line
+
+    def __missing__(self, a) -> list[int]:
+        on_line, n = self.on_line, len(self.on_line)
+        if type(a) is not int or not 0 <= a < n:
+            raise PointRangeError(f"row {a!r} is not a point id in [0, {n})")
+        row = [-1] * n
+        for li in on_line[a]:
+            for j in on_line[li]:
+                row[j] = li
+        row[a] = -1
+        self[a] = row
+        return row
+
+
 class Plane:
     def __init__(self, field: FieldTable):
         self.field = field
@@ -78,17 +100,7 @@ class Plane:
         self.points_on_line = on_line
         self.line_masks = [sum(1 << i for i in pts) for pts in on_line]
 
-        # incidence is symmetric, so the lines through point a are the
-        # points of line a; row a maps each other point to its line with a
-        rows: list[list[int]] = []
-        for a, through in enumerate(on_line):
-            row = [-1] * n
-            for li in through:
-                for j in on_line[li]:
-                    row[j] = li
-            row[a] = -1
-            rows.append(row)
-        self.line_rows = rows
+        self.line_rows = _LineRows(on_line)
         self.all_points_mask = (1 << n) - 1
 
         self.frob_point_perms = [

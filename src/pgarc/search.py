@@ -301,11 +301,11 @@ def extend(
         return results
 
     # the root's secant block against each candidate never changes along a
-    # descent, so fold those size0 mask updates into one precomputed AND;
-    # the secants among root points are already outside cand0
+    # descent: one precomputed AND, kept with the candidate's row, folds
+    # those size0 mask updates; the secants among root points are outside cand0
     all_mask = plane.all_points_mask
     root_block = {
-        x: all_mask & ~plane.secant_mask((*root, x)) for x in iter_bits(cand0)
+        x: (all_mask & ~plane.secant_mask((*root, x)), rows[x]) for x in iter_bits(cand0)
     }
 
     added: list[int] = []
@@ -317,11 +317,11 @@ def extend(
         if size == bound:
             return
         for x in iter_bits(cand >> (last + 1) << (last + 1)):
-            ncand, row = cand & root_block[x], rows[x]
+            ncand, row = root_block[x]
             for m in added:
                 ncand &= ~lm[row[m]]
             added.append(x)
-            descend(ncand, x, size + 1)
+            descend(cand & ncand, x, size + 1)
             added.pop()
 
     descend(cand0, -1, size0)

@@ -361,6 +361,22 @@ def test_sweep_builds_one_plane(monkeypatch):
     assert len(calls) == 4
 
 
+def test_verify_builds_few_rows(monkeypatch):
+    """Verifying arc14_q32_z4 reads 50 of the 1,057 rows of its plane's
+    pair -> line lookup, and the plane builds no other row."""
+    from pgarc import certificates
+
+    def kept(field):
+        planes.append(build(field))
+        return planes[-1]
+
+    planes = []
+    build = certificates.build_plane
+    monkeypatch.setattr(certificates, "build_plane", kept)
+    assert verify(load_fixture("arc14_q32_z4")).valid
+    assert len(planes) == 1 and len(planes[0].line_rows) <= 64
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -1,5 +1,7 @@
 """Plane incidence structure."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,16 +217,43 @@ def test_repeated_ids_rejected():
 
 
 def _assert_tables_match_scan(pl):
+    """The tables of a freshly built plane against the slow scan.  It
+    holds no pair -> line row; rows read in a seeded random order are
+    built one per first read, and then read by index (iterating the
+    lookup would give its keys, not its rows)."""
     want = incidence_scan(pl.field)
+    n, rows = pl.size, pl.line_rows
+    assert len(rows) == 0
+    for i, a in enumerate(random.Random(n).sample(range(n), n), 1):
+        assert rows[a] == want["pair_line"][a * n:(a + 1) * n]
+        assert len(rows) == i and rows[a] is rows[a]
     assert pl.points_on_line == want["points_on_line"]
     assert pl.line_masks == want["line_masks"]
-    assert [li for row in pl.line_rows for li in row] == want["pair_line"]
+    assert [li for a in range(n) for li in rows[a]] == want["pair_line"]
     assert pl.frob_point_perms == want["frob_point_perms"]
 
 
-@pytest.mark.parametrize("q", SMALL_Q + [16, 31, 32])
+@pytest.mark.parametrize("q", SMALL_Q + [16, 27, 31, 32])
 def test_tables_match_incidence_scan(q):
-    _assert_tables_match_scan(get_plane(q))
+    _assert_tables_match_scan(build_plane(get_field(q)))
+
+
+def test_line_rows_reject_keys_that_are_not_point_ids():
+    """A list of rows read key -1 as the last row, and a row filled on
+    first read would be stored under any key: a key that is not an int
+    in [0, n) raises and stores nothing, before and after a row is in."""
+    pl = build_plane(get_field(5))
+    n, rows = pl.size, pl.line_rows
+    bad = (-1, -n, n, n + 7, 2.5, 3.0, "3", None, True)
+    for k in bad:
+        with pytest.raises(PointRangeError):
+            rows[k]
+    assert len(rows) == 0
+    assert rows[n - 1][n - 1] == -1
+    for k in bad:
+        with pytest.raises(PointRangeError):
+            rows[k]
+    assert list(rows) == [n - 1]
 
 
 @pytest.mark.parametrize("modulus", degree5_primitive_moduli())

@@ -24,7 +24,7 @@ from pgarc.search import (
     min_complete_size,
     save_level,
 )
-from support import classification, find_min, get_plane
+from support import classification, find_min, get_field, get_plane
 
 # published values of t(2,q) and class counts for small q
 T_TABLE = {
@@ -293,6 +293,27 @@ def test_min_complete_size_deterministic_across_workers():
             runs.append((r.size, r.class_count, r.representatives))
         assert runs[0][:2] == want
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_classify_to_size_5_builds_few_rows():
+    """The frame's children at q = 31 read 4 rows of the 993 of the pair
+    -> line lookup in the calling process; a fresh plane has none."""
+    plane = build_plane(get_field(31))
+    classify(SearchConfig(q=31, classification_threshold=5), plane)
+    assert 0 < len(plane.line_rows) <= 8
+
+
+@pytest.mark.parametrize("q, group, counts", [(31, PGL, [1, 11, 905]), (32, PGAMMAL, [1, 3, 213])])
+def test_workers_fill_rows_of_a_fresh_plane(q, group, counts):
+    """Level 6 runs in 2 workers forked from a freshly built plane that
+    holds only the rows level 5 read; each worker fills the rows it reads,
+    and the levels equal those of 1 worker on another fresh plane."""
+    runs = []
+    for workers in (1, 2):
+        config = SearchConfig(q=q, group=group, classification_threshold=6, worker_count=workers)
+        runs.append([lv.representatives for lv in classify(config, build_plane(get_field(q)))])
+    assert [len(reps) for reps in runs[0]] == counts
+    assert runs[1] == runs[0]
 
 
 def test_search_refuses_a_plane_of_another_order(tmp_path):
