@@ -51,7 +51,9 @@ the lines of its image with as many points, so every s in Stab(S)
 keeps inv and general position.  C is every Frobenius power times the
 ordered 4-subsets in general position whose invariants are those of a
 fixed 4-subset Q0, position by position (_invariant_frames), and Q0 is
-taken among the rarest invariants, so few frames share them.
+taken among the rarest invariants, so few frames share them.  An
+element's order is read off its permutation of S and Frobenius power:
+they determine it, as only the identity of PGL fixes a frame (stabilizer).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 
 from .plane import Plane, PointRangeError, _sorted_distinct
 
@@ -105,7 +108,6 @@ class GroupStructure:
 
 
 IDENTITY = Collineation((1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
-_MAX_ELEMENT_ORDER = 100000  # above q^2 + q + 1, the largest element order of PGL(3, q), q <= 256
 
 
 def _check_group(group: str):
@@ -175,15 +177,6 @@ def inverse(field, g: Collineation) -> Collineation:
     f = (-g.frob) % field.h
     m = _frob_matrix(field, _adjugate(field, g.matrix), f)
     return Collineation(_normalize_matrix(field, m), f)
-
-
-def element_order(field, g: Collineation) -> int:
-    cur = g
-    for k in range(1, _MAX_ELEMENT_ORDER + 1):
-        if cur == IDENTITY:
-            return k
-        cur = compose(field, cur, g)
-    raise RuntimeError(f"element order exceeds {_MAX_ELEMENT_ORDER}")
 
 
 def apply_matrix(plane: Plane, m, point: int) -> int:
@@ -578,6 +571,18 @@ def _invariant_frames(plane: Plane, pts, group: str) -> list:
     return [(f, quad) for f in _powers(plane, group) for quad in quads]
 
 
+def _order(sigma, f: int, h: int) -> int:
+    """lcm of the cycle lengths of sigma and of h / gcd(f, h) (stabilizer)."""
+    order, seen = h // gcd(f, h), set()
+    for x in range(len(sigma)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = sigma[x], length + 1
+        order = lcm(order, length) if length else order
+    return order
+
+
 def stabilizer(plane: Plane, points, group: str = PGL):
     """Full setwise stabilizer of a point set within the configured group.
 
@@ -595,9 +600,12 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     invariants of Q1, so it is a member of C.  A candidate is kept when
     every point off the sides of its triangle lands in g1(S), tested up
     to the first miss, and then so do the points on a side, by apply:
-    exact on sets that are not arcs.  Ids outside [0, n) raise
-    PointRangeError and repeated ids DuplicatePointsError; fewer than 4
-    points, or no 4 in general position, DegenerateSetError.
+    exact on sets that are not arcs.  s = g1^-1 o g permutes S by sigma,
+    sigma[i] the position of g(S[i]) in g1(S); s -> (sigma, frob(s)) is
+    an injective homomorphism into Sym(S) x Z_h, so ord(s) is the lcm of
+    sigma's cycle lengths and h / gcd(frob(s), h).  Ids outside [0, n)
+    raise PointRangeError and repeated ids DuplicatePointsError; fewer
+    than 4 points, or no 4 in general position, DegenerateSetError.
     """
     _check_group(group)
     pts = _sorted_distinct(points, plane.size)
@@ -612,19 +620,21 @@ def stabilizer(plane: Plane, points, group: str = PGL):
         frames = _invariant_frames(plane, pts, group)
     row, exp = plane.affine_row, field.exp
     g1 = _frame_element(plane, pts, *frames[0])
-    target, back, elements = {apply(plane, g1, x) for x in pts}, inverse(field, g1), []
+    target = {apply(plane, g1, x): i for i, x in enumerate(pts)}  # g1(S), point -> position
+    back, elements, orders = inverse(field, g1), [], []
     for f, tri, offs, ds in _frames(plane, pts, frames, sides):
-        pairs = offs.values()
         for d in ds:
             d1, d2 = offs[d]
-            for a, b in pairs:
+            for a, b in offs.values():
                 if row[a - d1] + exp[b - d2] not in target:
                     break
             else:
                 g = _frame_element(plane, pts, f, (*tri, d))
-                if all(apply(plane, g, x) in target for i, x in enumerate(pts) if i not in offs and i not in tri):
+                sigma = [target.get(row[offs[i][0] - d1] + exp[offs[i][1] - d2] if i in offs
+                                    else apply(plane, g, x)) for i, x in enumerate(pts)]
+                if None not in sigma:
                     elements.append(compose(field, back, g))
-    orders = tuple(sorted(element_order(field, g) for g in elements))
+                    orders.append(_order(sigma, elements[-1].frob, field.h))
     return elements, classify_structure(orders)
 
 

@@ -23,7 +23,10 @@ generator until it stops growing is the slow reference for the frontier
 closure of collineation.generating_subset, and a plane built over each
 candidate modulus is the slow reference for the GF(32) sweep of
 pgarc.certificates, which computes in one plane through the field
-isomorphism.  The validated collineation
+isomorphism, and composing a collineation with itself until it reaches
+the identity (element_order) is the slow reference for the element
+orders that collineation.stabilizer reads off the permutation of the
+set.  The validated collineation
 constructor, the cross product and the conventional canonical forms of
 1 to 3 points serve only the tests, so they live here too.
 """
@@ -52,13 +55,24 @@ from pgarc.collineation import (
     canonicalize,
     classify_structure,
     compose,
-    element_order,
     frame_map,
     standard_frame,
 )
 from pgarc.gf import build_field
 from pgarc.plane import build_plane
 from pgarc.search import SearchConfig, classify, extend, lower_bound
+
+
+_MAX_ELEMENT_ORDER = 100000  # above q^2 + q + 1, the largest element order of PGL(3, q), q <= 256
+
+
+def element_order(field, g: Collineation) -> int:
+    cur = g
+    for k in range(1, _MAX_ELEMENT_ORDER + 1):
+        if cur == IDENTITY:
+            return k
+        cur = compose(field, cur, g)
+    raise RuntimeError(f"element order exceeds {_MAX_ELEMENT_ORDER}")
 
 
 def det3(field, t1, t2, t3) -> int:

@@ -17,7 +17,6 @@ from pgarc.collineation import (
     canonical_children,
     canonicalize,
     compose,
-    element_order,
     frame_images,
     frame_map,
     generating_subset,
@@ -629,6 +628,21 @@ def test_non_arc_stabilizers_match_the_sweep():
             stab(pl, no_frame, PGL)
 
 
+def test_large_stabilizer_structures():
+    """Element orders of two stabilizers above the sizes the sweep oracle
+    checks: the conic of PG(2,31) under PGL, which is PGL(2,31), and
+    PG(2,3) in PG(2,27) under PGammaL.  The names were computed with
+    orders by matrix powers (oracles.element_order)."""
+    pl = get_plane(31)
+    _, structure = stabilizer(pl, conic(pl), PGL)
+    assert structure.name == ("other(order=29760, element_orders=1^1,2^961,3^992,4^930,5^1984,6^992,"
+                              "8^1860,10^1984,15^3968,16^3720,30^3968,31^960,32^7440)")
+    pl = get_plane(27)
+    _, structure = stabilizer(pl, prime_subplane(pl), PGAMMAL)
+    assert structure.name == ("other(order=16848, element_orders=1^1,2^117,3^2186,4^702,6^3042,"
+                              "8^1404,12^1404,13^1728,24^2808,39^3456)")
+
+
 def test_gf32_non_arcs_need_few_candidate_frames():
     """The 10 non-arcs of the GF(32) sweep have 1,960 candidate frames
     under PGammaL in all, where every ordered frame of each, for each
@@ -731,5 +745,5 @@ def test_element_order():
     pl = get_plane(4)
     f = pl.field
     g = collineation(f, (0, 1, 0, 0, 0, 1, 1, 0, 0))  # 3-cycle of coordinates
-    assert element_order(f, g) == 3
-    assert element_order(f, IDENTITY) == 1
+    assert oracles.element_order(f, g) == 3
+    assert oracles.element_order(f, IDENTITY) == 1
