@@ -5,8 +5,8 @@ the non-member points on no secant (line through 2 members), i.e. the
 points whose addition preserves the arc property.  Candidate sets are
 integer bitmasks, so a completeness test is one comparison with 0.
 candidate_mask lives in the geometry layer (plane), where the
-certificate verifier reads it too; the search layer imports it from
-here.
+certificate verifier reads it too; collineation (the children of a
+parent) and search (the extension) import it from here.
 """
 
 from __future__ import annotations

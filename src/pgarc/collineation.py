@@ -13,15 +13,17 @@ Frobenius powers.  That yields an exact, dependency-free canonizer and a
 complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
-of them, canonical_children tests the children of a canonical arc, and
-stabilizer keeps the maps onto one image of the set.  All of them image
-frames through one kernel, _frames, which takes a list of frames: the
-guided or candidate frames below, or every ordered frame
-(_every_frame).  It groups frames by Frobenius power and triangle T,
-evaluates the three sides of T at every point of the set once, and the
-frame map of (T, D) divides those values by their values at D.  In
-discrete logarithms that is two subtractions and two table lookups per
-image point, with no matrix and no normalization.
+of them, canonical_children keeps the children of an arc above its last
+point that are their own least image, and stabilizer keeps the maps
+onto one image of the set.  All of them image frames through one
+kernel, _frames, which takes a list of frames: the guided or candidate
+frames below, or every ordered frame (_every_frame).  It groups frames
+by Frobenius power and triangle T, evaluates the three sides of T at
+every point of the set once, and the frame map of (T, D) divides those
+values by their values at D.  In discrete logarithms that is two
+subtractions and two table lookups per image point, with no matrix and
+no normalization.  One builder, _frame_element, makes the matrix of a
+map that is returned; frame_map checks a quadruple from outside first.
 
 Canonical forms image only the frames that can reach the least image,
 chosen by a five-point invariant.  For a 5-arc T let c5(T) =
@@ -63,7 +65,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from .plane import Plane, PointRangeError, _sorted_distinct
+from .arcs import candidate_mask, iter_bits
+from .plane import Plane, _sorted_distinct
 
 PGL = "pgl"
 PGAMMAL = "pgammal"
@@ -215,29 +218,30 @@ def _dot(field, u, x) -> int:
 def frame_map(plane: Plane, quad) -> Collineation:
     """The unique element of PGL(3,q) carrying the ordered quadruple to the
     ordered standard frame (sharp transitivity of PGL(3,q) on frames).
-
-    Row i of its matrix is the side of the triangle opposite the point sent
-    to the i-th unit vector, scaled to take the value 1 at the fourth point.
-    """
+    Four points that are not distinct, or hold a collinear triple, raise
+    DegenerateQuadrupleError; the matrix is _frame_element's."""
     if len(set(quad)) != 4:
         raise DegenerateQuadrupleError(f"need 4 distinct points, got {quad}")
-    if any(plane.collinear(*t) for t in combinations(quad, 3)):
+    if plane.collinear_triple(quad) is not None:
         raise DegenerateQuadrupleError(f"quadruple {quad} has 3 collinear points")
-    p1, p2, p3, d = quad
-    field = plane.field
-    rows = []
-    for a, b in ((p2, p1), (p3, p1), (p3, p2)):
-        side = plane.lines[plane.line_through(a, b)]
-        s = field.inv_list[_dot(field, side, plane.points[d])]
-        rows.extend(field.mul(s, c) for c in side)
-    return Collineation(_normalize_matrix(field, rows), 0)
+    return _frame_element(plane, quad, 0, range(4))
 
 
 def _frame_element(plane: Plane, pts, f: int, quad) -> Collineation:
     """The group element of a frame (f, quad) of pts: Frobenius power f,
-    then the frame map of the conjugates of the points at positions quad."""
-    perm = plane.frob_point_perms[f]
-    return Collineation(frame_map(plane, tuple(perm[pts[i]] for i in quad)).matrix, f)
+    then the frame map of the conjugates of the points at positions quad,
+    which must be in general position (frame_map checks outside input).
+    Row i of its matrix is the side of the triangle opposite the point
+    sent to the i-th unit vector, scaled to take the value 1 at the
+    fourth point."""
+    perm, field, rows = plane.frob_point_perms[f], plane.field, plane.line_rows
+    p1, p2, p3, d = (perm[pts[i]] for i in quad)
+    matrix = []
+    for a, b in ((p2, p1), (p3, p1), (p3, p2)):
+        side = plane.lines[rows[a][b]]
+        s = field.inv_list[_dot(field, side, plane.points[d])]
+        matrix.extend(field.mul(s, c) for c in side)
+    return Collineation(_normalize_matrix(field, matrix), f)
 
 
 def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
@@ -457,11 +461,11 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), _frame_element(plane, pts, *witness))
 
 
-def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> list[int]:
-    """The candidates x for which parent + (x,) is its own least image
-    (canonicalize), in order.  Candidates lie above the parent's last
-    point and off its secants; a parent that is not its own least image
-    has no such child (search module docstring).
+def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int, ...]]:
+    """The children parent + (x,) that are their own least image
+    (canonicalize), in increasing x: the candidates are the points of
+    candidate_mask above the parent's last point.  A parent that is not
+    its own least image has no such child (search module docstring).
 
     Read's orderly test, guided by the five-point invariant (module
     docstring).  Let R be the parent, S = R + (x,) and m0 = S[4], that is
@@ -479,6 +483,7 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
     of x under each, two lookups, and one comparison.
     """
     pts = _arc_points(plane, parent, group)
+    above = candidate_mask(plane, pts) >> (pts[-1] + 1) << (pts[-1] + 1)
     if tuple(pts[:4]) != standard_frame(plane):
         return []
     k = len(pts)
@@ -507,13 +512,7 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
 
     def below(x: int) -> bool:
         """Whether pts + [x] has an image below itself."""
-        if x <= pts[-1]:
-            raise ValueError(f"candidate {x} is not above the parent's last point {pts[-1]}")
-        if x >= plane.size:
-            raise PointRangeError(f"candidate {x} is not in [0, {plane.size})")
         logs = logs_at(0, x)
-        if None in logs.values():
-            raise DegenerateSetError(f"candidate {x} lies on a secant of the parent")
         m0 = pts[4] if k > 4 else x
         guided = []
         for _, (c, b, a), offs, ds in quads:
@@ -536,7 +535,7 @@ def canonical_children(plane: Plane, parent, candidates, group: str = PGL) -> li
         known = {f: {p: s + [xlogs[f][p]] for p, s in sides[f].items()} for f in {f for f, _ in guided}}
         return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], guided, known))
 
-    return [x for x in candidates if not below(x)]
+    return [(*pts, x) for x in iter_bits(above) if not below(x)]
 
 
 def _invariant_frames(plane: Plane, pts, group: str) -> list:

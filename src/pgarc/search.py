@@ -5,9 +5,9 @@ of every class of arcs up to a threshold.  Level 4 is the frame; level
 n+1 holds each R + (x,), R in level n and x > max(R) a candidate, that
 is its own least image.  If g(T) < T for T = S - {max S}, then g(S) < S:
 adding g(max S) cannot move the first difference.  So each canonical
-(n+1)-arc comes once, from its canonical parent, already sorted.  The
-children of one parent are tested together by
-collineation.canonical_children, guided by the five-point invariant.
+(n+1)-arc comes once, from its canonical parent, already sorted.
+collineation.canonical_children takes one parent, finds its candidates
+above max(R) and tests them together, guided by the five-point invariant.
 
 Above it a depth-first extension takes over (min_complete_size extends
 from level 5): candidates are added in increasing point-index order
@@ -150,11 +150,6 @@ def _map_reps(config: SearchConfig, fn, reps, each=None) -> list:
 # classification
 
 
-def _canonical_children(plane: Plane, group: str, rep: tuple[int, ...]) -> list:
-    above = candidate_mask(plane, rep) >> (rep[-1] + 1) << (rep[-1] + 1)
-    return [rep + (x,) for x in canonical_children(plane, rep, iter_bits(above), group)]
-
-
 def _level_filename(q: int, group: str, size: int) -> str:
     return f"q{q}_{group}_level{size}.txt"
 
@@ -256,7 +251,7 @@ def classify(config: SearchConfig, plane: Plane | None = None) -> list[Classific
                 raise MemoryBudgetExceededError(f"level {size} reached {len(reps)} "
                                                 f"classes, over the budget of {budget}")
 
-        children = functools.partial(_canonical_children, plane, group)
+        children = functools.partial(canonical_children, plane, group=group)
         _map_reps(config, children, levels[-1].representatives, take)
         level = ClassificationLevel(size, reps)
         if ckdir:

@@ -656,7 +656,8 @@ def is_canonical(plane, points, group: str = PGL) -> bool:
 def sweep_canonical_children(plane, parent, candidates, group: str = PGL) -> list[int]:
     """collineation.canonical_children as it was before the five-point
     table guided it, every frame of the parent swept: the candidates x
-    for which parent + (x,) is its own least image, in order.
+    for which parent + (x,) is its own least image, in order (the
+    guided test finds its own candidates and returns the children).
     Candidates lie above the parent's last point and off its secants; a
     parent that is not its own least image has no such child.
 

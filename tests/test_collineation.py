@@ -184,8 +184,7 @@ def test_canonicalize_small_sets_and_empty():
     pl = get_plane(5)
     from pgarc.collineation import EmptySetError
 
-    for check in (canonicalize, frame_images, is_canonical,
-                  lambda pl, pts: canonical_children(pl, pts, [])):
+    for check in (canonicalize, frame_images, is_canonical, canonical_children):
         with pytest.raises(EmptySetError):
             check(pl, [])
         for pts in ([0], [17], [0, 1], [17, 30], [0, 1, 6], [17, 30, 4]):
@@ -300,7 +299,7 @@ def test_canonicalize_rejects_non_arcs(q, group):
         with pytest.raises(DegenerateSetError):
             is_canonical(pl, bad, group)
         with pytest.raises(DegenerateSetError):
-            canonical_children(pl, bad, [], group)
+            canonical_children(pl, bad, group)
 
 
 def test_is_canonical_agrees_with_canonicalize():
@@ -351,7 +350,7 @@ def _check_canonical_children(pl, group, parents):
     for rep in parents:
         above = _children_above(pl, rep)
         want = [x for x in above if is_canonical(pl, rep + (x,), group)]
-        assert canonical_children(pl, rep, above, group) == want, (pl.q, group, rep)
+        assert canonical_children(pl, rep, group) == [rep + (x,) for x in want], (pl.q, group, rep)
         elements, _ = stabilizer(pl, rep, group)
         stab_rejected += sum(1 for x in above if min(apply(pl, g, x) for g in elements) < x)
     return stab_rejected
@@ -461,7 +460,7 @@ def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
     for parent in (rng.choice(five), fixed, seven):
         above = _children_above(pl, parent)
         want = oracles.sweep_canonical_children(pl, parent, above, group)
-        assert canonical_children(pl, parent, above, group) == want, (q, group, parent)
+        assert canonical_children(pl, parent, group) == [parent + (x,) for x in want], (q, group, parent)
         for x in above if sample is None else rng.sample(above, sample):
             child = parent + (x,)
             form = canonicalize(pl, child, group)
@@ -471,27 +470,31 @@ def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
 
 def test_canonical_children_refuses_what_it_cannot_test():
     """A parent that is not its own least image, with or without the
-    frame as its head, has no canonical child, as the oracle agrees; a
-    candidate that is not above the parent, lies on a secant of it or is
-    no point of the plane is refused."""
+    frame as its head, has no canonical child, as the oracle agrees.
+    Nor has a parent without a candidate above its last point: the
+    frame, a complete arc at q = 2 and at q = 3, and a 5-arc through the
+    last point n - 1 at q = 7.  The candidates are the function's own,
+    so none can come in below the parent, on a secant of it or outside
+    the plane."""
     pl = get_plane(11)
     frame = standard_frame(pl)
     c = next(x for x in _children_above(pl, frame) if not is_canonical(pl, frame + (x,), PGL))
     for parent in (frame + (c,), (frame[0], *frame[2:], c)):
         above = _children_above(pl, parent)
         assert not any(is_canonical(pl, parent + (x,), PGL) for x in above)
-        assert canonical_children(pl, parent, above, PGL) == []
-    rep = classification(11, PGL, 5)[1].representatives[0]
-    with pytest.raises(ValueError, match="not above"):
-        canonical_children(pl, rep, [rep[-1] - 1], PGL)
-    on_secant = next(x for x in range(rep[-1] + 1, pl.size) if pl.secant_mask(rep) >> x & 1)
-    with pytest.raises(DegenerateSetError, match="secant"):
-        canonical_children(pl, rep, [on_secant], PGL)
+        assert canonical_children(pl, parent, PGL) == []
+    for q in (2, 3):
+        pl = get_plane(q)
+        for group in (PGL, PGAMMAL):
+            assert canonical_children(pl, standard_frame(pl), group) == []
     pl = get_plane(7)
-    frame = standard_frame(pl)
-    for x in (57, 60):
-        with pytest.raises(PointRangeError, match=str(x)):
-            canonical_children(pl, frame, [x], PGL)
+    arc = [pl.size - 1]
+    for x in range(pl.size - 1):
+        if len(arc) < 5 and pl.collinear_triple(arc + [x]) is None:
+            arc.append(x)
+    parent = tuple(sorted(arc))
+    assert len(parent) == 5 and parent[-1] == pl.size - 1
+    assert canonical_children(pl, parent, PGL) == []
 
 
 def conic(plane):
@@ -671,10 +674,10 @@ def test_stabilizer_rejects_bad_ids():
 def test_canonical_forms_reject_repeated_ids():
     """A repeated id is an error, not a smaller set: (0, 1, 8, 16, 16) at
     q = 7 would otherwise pass for the frame, and canonical_children
-    would accept 25 as a child of it."""
+    would test its children."""
     pl = get_plane(7)
     assert standard_frame(pl) == (0, 1, 8, 16)
-    for check in (canonicalize, frame_images, lambda pl, pts: canonical_children(pl, pts, [25])):
+    for check in (canonicalize, frame_images, canonical_children):
         for pts in ([0, 1, 8, 16, 16], [0, 1, 8, 16, 0], [25, 0, 1, 8, 16, 25]):
             with pytest.raises(DuplicatePointsError):
                 check(pl, pts)
