@@ -10,12 +10,12 @@ and the modulus sweep.
 
 Bundled fixtures carry known complete 14-arcs of PG(2,31) and PG(2,32).
 The PG(2,32) ones are published as pairs of exponents of a primitive
-field generator without a usable modulus; resolve_gf32_polynomial sweeps
-all six degree-5 primitive polynomials over GF(2) (gf.primitive_moduli),
-reverifies both arcs under each, and reports which candidates satisfy
-every claim.  Any two fields of order 32 are isomorphic, so the sweep
-builds one plane, over the first modulus, and reads the points of each
-candidate there through the isomorphism.
+field generator without a usable modulus; resolve_gf32_polynomial builds
+the six fields of order 32 from the walk gf.primitive_moduli(2, 5),
+reverifies both arcs under each modulus, and reports which candidates
+satisfy every claim.  Any two fields of order 32 are isomorphic, so the
+sweep builds one plane, over the first modulus, and reads the points of
+each candidate there through the isomorphism, which acts on exponents.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import combinations
 from operator import xor
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
-from .gf import FieldError, build_field, primitive_moduli
+from .gf import FieldError, FieldTable, build_field, primitive_moduli
 from .plane import Plane, _sorted_distinct, build_plane, candidate_mask
 
 CLAIM_KEYS = ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name")
@@ -209,13 +209,6 @@ def verify(cert: ArcCertificate) -> VerifyReport:
 FRAME_TRIPLES = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 
 
-def degree5_primitive_moduli() -> list[tuple[int, ...]]:
-    """All primitive degree-5 polynomials over GF(2), in ascending
-    coefficient-tuple order.  There are exactly six: 30 generators of
-    GF(32)* in 5-element conjugacy classes."""
-    return [modulus for modulus, _ in primitive_moduli(2, 5)]
-
-
 def points_from_exponents(field, exponents) -> list[tuple[int, int, int]]:
     """Frame plus points (1, g^a, g^b) for the generator g of the field."""
     exp = field.exp
@@ -227,18 +220,18 @@ def points_from_exponents(field, exponents) -> list[tuple[int, int, int]]:
 def _sweep_case(plane: Plane, field, exponents, want_order: int, want_name: str) -> dict:
     """The claims of the points published over field, a field of order
     32, computed in plane through the isomorphism that sends the root of
-    field.modulus to root0^k, k the least with field.modulus(root0^k) = 0;
-    every claim is invariant under it.  The collinear triple is written
-    over field, the first in its point order, which is that of the codes."""
+    field.modulus to root0^k, k the least with field.modulus(root0^k) = 0,
+    so exponents (a, b) to (k a, k b) mod 31; every claim is invariant
+    under it.  The collinear triple is written over field, the first in
+    its point order, which is that of the codes."""
     exp0 = plane.field.exp
     k = next(k for k in range(1, 31) if not reduce(
         xor, (exp0[k * i % 31] for i, c in enumerate(field.modulus) if c)))
-    phi = [0] * 32
-    for j, code in enumerate(field.exp):
-        phi[code] = exp0[k * j % 31]
     triples = points_from_exponents(field, exponents)
-    ids = sorted({plane.point_index[t] for t in triples})  # ids over field
-    image = {i: plane.point_index[tuple(phi[c] for c in plane.points[i])] for i in ids}
+    images = points_from_exponents(plane.field, [(k * a % 31, k * b % 31) for a, b in exponents])
+    index = plane.point_index
+    image = {index[t]: index[u] for t, u in zip(triples, images)}  # ids over field
+    ids = sorted(image)
     # a repeat fails the case through "distinct"; claims use the distinct points
     claims, _ = _claims(plane, PGAMMAL, sorted(image.values()))
     result: dict = {"distinct": len(ids) == len(triples), "is_arc": claims["is_arc"]}
@@ -260,7 +253,7 @@ def resolve_gf32_polynomial(k2_exponents, k3_exponents):
     k3 = [tuple(e) for e in k3_exponents]
     report = {"candidates": []}
     passing = []
-    fields = [build_field(2, 5, list(m)) for m in degree5_primitive_moduli()]
+    fields = [FieldTable(2, 5, m, exp) for m, exp in primitive_moduli(2, 5)]
     plane = build_plane(fields[0])
     for field in fields:
         entry = {

@@ -5,7 +5,8 @@ to standard output, progress to standard error.  Only classify takes a
 threshold and a checkpoint directory: find-min classifies sizes 4 and
 5 in memory, in milliseconds, and extends from there.  Exit codes: 0
 success, 1 invalid certificate, 2 malformed input, 3 resource budget
-exceeded.
+exceeded: a field or plane order above its cap, as no flag sets the
+class budget of a level, SearchConfig.max_level_classes.
 """
 
 from __future__ import annotations

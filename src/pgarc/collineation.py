@@ -24,6 +24,7 @@ values by their values at D.  In discrete logarithms that is two
 subtractions and two table lookups per image point, with no matrix and
 no normalization.  One builder, _frame_element, makes the matrix of a
 map that is returned; frame_map checks a quadruple from outside first.
+plane._normalized normalizes matrices as it does points and lines.
 
 Canonical forms image only the frames that can reach the least image,
 chosen by a five-point invariant.  For a 5-arc T let c5(T) =
@@ -66,15 +67,11 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from .arcs import candidate_mask, iter_bits
-from .plane import Plane, _sorted_distinct
+from .plane import Plane, _normalized, _sorted_distinct
 
 PGL = "pgl"
 PGAMMAL = "pgammal"
 GROUPS = (PGL, PGAMMAL)
-
-
-class SingularMatrixError(ValueError):
-    """Matrix has zero determinant."""
 
 
 class DegenerateQuadrupleError(ValueError):
@@ -116,19 +113,6 @@ IDENTITY = Collineation((1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
 def _check_group(group: str):
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-
-
-def _normalize_matrix(field, m):
-    """Scale so the first nonzero entry in row-major order is 1; the unique
-    representative of the matrix modulo scalars."""
-    for e in m:
-        if e:
-            if e == 1:
-                return tuple(m)
-            s = field.inv_list[e]
-            mul = field.mul
-            return tuple(mul(s, x) for x in m)
-    raise SingularMatrixError("zero matrix")
 
 
 def _adjugate(field, m):
@@ -173,13 +157,13 @@ def _frob_matrix(field, m, i):
 def compose(field, g1: Collineation, g2: Collineation) -> Collineation:
     """g1 after g2: (M1, f1) o (M2, f2) = (M1 . phi^f1(M2), f1 + f2 mod h)."""
     m = _matmul(field, g1.matrix, _frob_matrix(field, g2.matrix, g1.frob))
-    return Collineation(_normalize_matrix(field, m), (g1.frob + g2.frob) % field.h)
+    return Collineation(_normalized(field, m), (g1.frob + g2.frob) % field.h)
 
 
 def inverse(field, g: Collineation) -> Collineation:
     f = (-g.frob) % field.h
     m = _frob_matrix(field, _adjugate(field, g.matrix), f)
-    return Collineation(_normalize_matrix(field, m), f)
+    return Collineation(_normalized(field, m), f)
 
 
 def apply_matrix(plane: Plane, m, point: int) -> int:
@@ -241,7 +225,7 @@ def _frame_element(plane: Plane, pts, f: int, quad) -> Collineation:
         side = plane.lines[rows[a][b]]
         s = field.inv_list[_dot(field, side, plane.points[d])]
         matrix.extend(field.mul(s, c) for c in side)
-    return Collineation(_normalize_matrix(field, matrix), f)
+    return Collineation(_normalized(field, matrix), f)
 
 
 def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:

@@ -2,12 +2,13 @@
 
 Points and lines are normalized homogeneous triples of field codes (first
 nonzero coordinate scaled to 1) indexed by their rank in lexicographic
-order of the coordinate codes.  The same normalized triples serve as line
-coefficient vectors, so points and lines share one indexing.  The point
-list and the per-line point lists and bitmasks are built densely, each
-line's points solved from its equation, no dot product.  The pair -> line
-lookup has one row per point, filled from the lines through it when first
-read: a search reads few of the n rows.  No value a reader sees changes.
+order of the coordinate codes; _normalized scales them, and collineation
+matrices, so.  The same normalized triples serve as line coefficient
+vectors, so points and lines share one indexing.  The point list and the
+per-line point lists and bitmasks are built densely, each line's points
+solved from its equation, no dot product.  The pair -> line lookup has
+one row per point, filled from the lines through it when first read: a
+search reads few of the n rows.  No value a reader sees changes.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ def _sorted_distinct(ids, n: int) -> list[int]:
         if a == b:
             raise DuplicatePointsError(f"point {a} is repeated in {pts}")
     return pts
+
+
+def _normalized(field, v) -> tuple[int, ...]:
+    """v scaled so its first nonzero entry is 1: the one representative of
+    its class modulo scalars, for points, lines and matrices alike.  The
+    zero vector raises ValueError."""
+    for e in v:
+        if e:
+            if e == 1:
+                return tuple(v)
+            s, mt = field.inv_list[e] * field.q, field.mul_flat
+            return tuple([mt[s + x] for x in v])
+    raise ValueError(f"cannot normalize the zero vector {list(v)}")
 
 
 class _LineRows(dict):
@@ -111,22 +125,12 @@ class Plane:
     def normalize(self, triple) -> tuple[int, int, int]:
         """Scale a nonzero homogeneous triple so its first nonzero entry is 1."""
         x0, x1, x2 = triple
-        f = self.field
-        if not (0 <= x0 < f.q and 0 <= x1 < f.q and 0 <= x2 < f.q):
-            raise PointRangeError(f"{list(triple)} has codes outside GF({f.q})")
-        if x0:
-            if x0 != 1:
-                s = f.inv_list[x0]
-                return (1, f.mul(s, x1), f.mul(s, x2))
-            return (x0, x1, x2)
-        if x1:
-            if x1 != 1:
-                s = f.inv_list[x1]
-                return (0, 1, f.mul(s, x2))
-            return (0, 1, x2)
-        if x2:
-            return (0, 0, 1)
-        raise ValueError("cannot normalize the zero triple")
+        q = self.q
+        if not (0 <= x0 < q and 0 <= x1 < q and 0 <= x2 < q):
+            raise PointRangeError(f"{list(triple)} has codes outside GF({q})")
+        if not (x0 or x1 or x2):
+            raise ValueError("cannot normalize the zero triple")
+        return _normalized(self.field, triple)
 
     def point_id(self, triple) -> int:
         return self.point_index[self.normalize(triple)]

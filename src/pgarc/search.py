@@ -281,23 +281,16 @@ def extend(
     group, so group is unused.
     """
     root = sorted(rep)
-    size0 = len(root)
-    if size0 > bound:
+    if len(root) > bound:
         return []
     results: list[tuple[int, ...]] = []
     rows = plane.line_rows
     lm = plane.line_masks
 
     cand0 = candidate_mask(plane, root)
-    if cand0 == 0:
-        results.append(tuple(root))
-        return results
-    if size0 == bound:
-        return results
-
     # the root's secant block against each candidate never changes along a
     # descent: one precomputed AND, kept with the candidate's row, folds
-    # those size0 mask updates; the secants among root points are outside cand0
+    # those len(root) mask updates; the secants among root points are outside cand0
     all_mask = plane.all_points_mask
     root_block = {
         x: (all_mask & ~plane.secant_mask((*root, x)), rows[x]) for x in iter_bits(cand0)
@@ -319,7 +312,7 @@ def extend(
             descend(cand & ncand, x, size + 1)
             added.pop()
 
-    descend(cand0, -1, size0)
+    descend(cand0, -1, len(root))
     return results
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from pgarc.arcs import candidate_mask, iter_bits
-from pgarc.certificates import CLAIM_KEYS, _claims, degree5_primitive_moduli, points_from_exponents
+from pgarc.certificates import CLAIM_KEYS, _claims, points_from_exponents
 from pgarc.collineation import (
     IDENTITY,
     PGAMMAL,
@@ -45,12 +45,10 @@ from pgarc.collineation import (
     DegenerateSetError,
     EmptySetError,
     PointSetCanonicalForm,
-    SingularMatrixError,
     _adjugate,
     _arc_points,
     _check_group,
     _matmul,
-    _normalize_matrix,
     apply_matrix,
     canonicalize,
     classify_structure,
@@ -58,9 +56,13 @@ from pgarc.collineation import (
     frame_map,
     standard_frame,
 )
-from pgarc.gf import build_field
-from pgarc.plane import build_plane
+from pgarc.gf import build_field, primitive_moduli
+from pgarc.plane import _normalized, build_plane
 from pgarc.search import SearchConfig, classify, extend, lower_bound
+
+
+class SingularMatrixError(ValueError):
+    """Matrix has zero determinant."""
 
 
 _MAX_ELEMENT_ORDER = 100000  # above q^2 + q + 1, the largest element order of PGL(3, q), q <= 256
@@ -114,7 +116,7 @@ def collineation(field, matrix, frob: int = 0) -> Collineation:
         raise SingularMatrixError(f"matrix {flat} is singular")
     if not 0 <= frob < field.h:
         raise ValueError(f"frobenius exponent {frob} outside [0, {field.h})")
-    return Collineation(_normalize_matrix(field, flat), frob)
+    return Collineation(_normalized(field, flat), frob)
 
 
 def recount_coverage(plane, members) -> list[int]:
@@ -512,7 +514,7 @@ def sweep_canonicalize(plane, points, group: str = PGL) -> PointSetCanonicalForm
                 best_rest = rest
                 best_m = m
                 best_f = f
-    witness = Collineation(_normalize_matrix(field, best_m), best_f)
+    witness = Collineation(_normalized(field, best_m), best_f)
     return PointSetCanonicalForm(frame + tuple(best_rest), witness)
 
 
@@ -561,7 +563,7 @@ def sweep_stabilizer(plane, points, group: str = PGL):
                     ok = False
                     break
             if ok:
-                m = _normalize_matrix(field, _matmul(field, adjA, B))
+                m = _normalized(field, _matmul(field, adjA, B))
                 elements.append(Collineation(m, f))
     orders = tuple(sorted(element_order(field, g) for g in elements))
     return elements, classify_structure(orders)
@@ -803,7 +805,7 @@ def resolve_gf32_polynomial(k2_exponents, k3_exponents):
     k3 = [tuple(e) for e in k3_exponents]
     report = {"candidates": []}
     passing = []
-    for modulus in degree5_primitive_moduli():
+    for modulus, _ in primitive_moduli(2, 5):
         field = build_field(2, 5, list(modulus))
         plane = build_plane(field)
         entry = {

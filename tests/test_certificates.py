@@ -271,24 +271,29 @@ def test_resolution_report_is_committed_and_consistent():
 
 
 def test_sweep_builds_one_field_per_modulus(monkeypatch):
-    """The six moduli come from one walk that builds no field; the sweep
-    then builds each field once."""
+    """The sweep builds each of the six fields once, in the order of the
+    one walk over the moduli, from the walk's own exp table: no modulus
+    is walked again through build_field."""
     from pgarc import certificates, gf
 
-    def counted(*args):
-        calls.append(args)
+    def counted_field(p, h, modulus, exp):
+        fields.append(modulus)
+        return table(p, h, modulus, exp)
+
+    def counted_build(*args):
+        builds.append(args)
         return build(*args)
 
-    calls = []
-    build = gf.build_field
-    monkeypatch.setattr(gf, "build_field", counted)
-    monkeypatch.setattr(certificates, "build_field", counted)
-    moduli = certificates.degree5_primitive_moduli()
-    assert len(moduli) == 6 and calls == []
+    fields, builds = [], []
+    table, build = certificates.FieldTable, gf.build_field
+    monkeypatch.setattr(certificates, "FieldTable", counted_field)
+    monkeypatch.setattr(gf, "build_field", counted_build)
+    monkeypatch.setattr(certificates, "build_field", counted_build)
     z4, z5 = load_fixture("arc14_q32_z4"), load_fixture("arc14_q32_z5")
     certificates.resolve_gf32_polynomial(z4.meta["generator_exponents"],
                                          z5.meta["generator_exponents"])
-    assert calls == [(2, 5, list(m)) for m in moduli]
+    assert fields == [m for m, _ in gf.primitive_moduli(2, 5)] and len(fields) == 6
+    assert builds == []
 
 
 def test_sweep_case_recomputes_on_distinct_points():
@@ -313,7 +318,7 @@ def test_sweep_matches_the_per_modulus_oracle():
     several collinear triples, where the witness is the first in the
     candidate field's point order, and sets with a repeated pair."""
     from pgarc import certificates
-    from pgarc.gf import build_field
+    from pgarc.gf import build_field, primitive_moduli
     from pgarc.plane import build_plane
 
     z4, z5 = (load_fixture(n).meta["generator_exponents"] for n in ("arc14_q32_z4", "arc14_q32_z5"))
@@ -326,7 +331,7 @@ def test_sweep_matches_the_per_modulus_oracle():
         if len(sets) % 4 == 3:
             exps.append(exps[0])
         sets.append(exps)
-    fields = [build_field(2, 5, list(m)) for m in certificates.degree5_primitive_moduli()]
+    fields = [build_field(2, 5, list(m)) for m, _ in primitive_moduli(2, 5)]
     plane0 = build_plane(fields[0])
     several = 0
     for field in fields:
@@ -343,6 +348,7 @@ def test_sweep_builds_one_plane(monkeypatch):
     """The sweep builds one plane, not one per modulus; a certify pass,
     three fixtures verified and the sweep, builds four."""
     from pgarc import certificates
+    from pgarc.gf import primitive_moduli
 
     def counted(field):
         calls.append(field.modulus)
@@ -353,7 +359,7 @@ def test_sweep_builds_one_plane(monkeypatch):
     monkeypatch.setattr(certificates, "build_plane", counted)
     z4, z5 = (load_fixture(n).meta["generator_exponents"] for n in ("arc14_q32_z4", "arc14_q32_z5"))
     certificates.resolve_gf32_polynomial(z4, z5)
-    assert calls == [certificates.degree5_primitive_moduli()[0]]
+    assert calls == [next(primitive_moduli(2, 5))[0]]
     calls.clear()
     for name in ARC_FIXTURES:
         assert verify(load_fixture(name)).valid

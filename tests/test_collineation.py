@@ -163,6 +163,15 @@ def test_inverse_round_trip():
         assert compose(pl.field, inverse(pl.field, g), g) == IDENTITY
 
 
+def test_compose_with_zero_matrix_rejected():
+    """A product that is the zero matrix has no normalized form."""
+    f = get_field(7)
+    zero = Collineation((0,) * 9)
+    for g1, g2 in ((zero, IDENTITY), (IDENTITY, zero)):
+        with pytest.raises(ValueError):
+            compose(f, g1, g2)
+
+
 def test_any_4_arc_canonicalizes_to_standard_frame():
     for q in (5, 7, 31):
         pl = get_plane(q)
@@ -580,12 +589,12 @@ def symmetric_non_arc(plane, rng):
 def gf32_sweep_sets():
     """(plane, ids) of the 10 point sets of the GF(32) modulus sweep that
     are not arcs: the two published 14-arcs under the moduli that fail."""
-    from pgarc.certificates import degree5_primitive_moduli, load_fixture, points_from_exponents
-    from pgarc.gf import build_field
+    from pgarc.certificates import load_fixture, points_from_exponents
+    from pgarc.gf import build_field, primitive_moduli
     from pgarc.plane import build_plane
 
     out = []
-    for modulus in degree5_primitive_moduli():
+    for modulus, _ in primitive_moduli(2, 5):
         pl = build_plane(build_field(2, 5, list(modulus)))
         for name in ("arc14_q32_z4", "arc14_q32_z5"):
             exponents = [tuple(e) for e in load_fixture(name).meta["generator_exponents"]]

@@ -11,10 +11,10 @@ from pgarc.plane import (
     DuplicatePointsError,
     PointRangeError,
     SamePointError,
+    _normalized,
     build_plane,
 )
-from pgarc.certificates import degree5_primitive_moduli
-from pgarc.gf import build_field
+from pgarc.gf import build_field, primitive_moduli
 from oracles import cross, det3, incidence_scan, random_arc, recount_coverage
 from support import get_field, get_plane
 
@@ -90,6 +90,31 @@ def test_normalization_idempotent_and_scale_invariant(q, data):
     scalar = data.draw(st.integers(min_value=1, max_value=q - 1))
     scaled = tuple(f.mul(scalar, c) for c in triple)
     assert pl.normalize(scaled) == norm
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, 16, 27, 32])
+def test_normalized_is_the_scalar_multiple_led_by_one(q):
+    """The one normalizer of points, lines and matrices, on seeded random
+    nonzero vectors of length 3 and 9 with leading zeros, against the one
+    of the q - 1 scalar multiples whose first nonzero entry is 1."""
+    f = get_field(q)
+    rng = random.Random(q)
+    for length in (3, 9):
+        for _ in range(60):
+            zeros = rng.randrange(length)
+            v = [0] * zeros + [rng.randrange(q) for _ in range(length - zeros)]
+            if not any(v):
+                v[-1] = rng.randrange(1, q)
+            led = [m for m in (tuple(f.mul(s, c) for c in v) for s in range(1, q))
+                   if next(c for c in m if c) == 1]
+            assert len(led) == 1 and _normalized(f, v) == led[0], v
+    with pytest.raises(ValueError):
+        _normalized(f, [0] * 9)
+
+
+def test_zero_triple_rejected():
+    with pytest.raises(ValueError, match="zero triple"):
+        get_plane(5).normalize((0, 0, 0))
 
 
 def test_line_through_symmetric_and_incident():
@@ -256,7 +281,7 @@ def test_line_rows_reject_keys_that_are_not_point_ids():
     assert list(rows) == [n - 1]
 
 
-@pytest.mark.parametrize("modulus", degree5_primitive_moduli())
+@pytest.mark.parametrize("modulus", [m for m, _ in primitive_moduli(2, 5)])
 def test_tables_match_incidence_scan_every_gf32_modulus(modulus):
     """The certificate sweep builds PG(2,32) over each of these."""
     _assert_tables_match_scan(build_plane(build_field(2, 5, list(modulus))))

@@ -142,9 +142,18 @@ def test_extension_equals_full_classification():
 
 
 def test_extend_reports_complete_root():
+    """The stop tests of the descent hold at the root too: a complete root
+    is reported at or below the bound, an incomplete one at the bound is
+    not, and a root above the bound reports nothing."""
     pl = get_plane(2)
     rep = classification(2, PGL, 4)[-1].representatives[0]
     assert extend(pl, PGL, rep, 4) == [rep]
+    assert extend(pl, PGL, rep, 5) == [rep]
+    assert extend(pl, PGL, rep, 3) == []
+    pl7 = get_plane(7)
+    frame = tuple(standard_frame(pl7))
+    assert candidate_mask(pl7, frame) and extend(pl7, PGL, frame, 4) == []
+    assert extend(pl7, PGL, frame, 6)
 
 
 def test_checkpoint_round_trip(tmp_path):
