@@ -23,7 +23,7 @@ from pgarc.certificates import (
     serialize_certificate,
 )
 from pgarc.gf import build_field
-from pgarc.plane import build_plane
+from pgarc.plane import plane_of
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "pgarc" / "fixtures"
 
@@ -65,7 +65,7 @@ def main() -> int:
         print(f"expected exactly one passing modulus, got {passing}", file=sys.stderr)
 
     field31 = build_field(31)
-    plane31 = build_plane(field31)
+    plane31 = plane_of(field31)
     ids = [plane31.point_id(t) for t in ARC14_Q31_POINTS]
     cert = make_certificate(plane31, "pgl", ids)
     write(FIXTURE_DIR / "arc14_q31_s3.json", serialize_certificate(cert))
@@ -76,7 +76,7 @@ def main() -> int:
     ):
         for modulus in passing:
             field = build_field(2, 5, list(modulus))
-            plane = build_plane(field)
+            plane = plane_of(field)
             pts = points_from_exponents(field, exponents)
             arc_ids = [plane.point_id(t) for t in pts]
             meta = {

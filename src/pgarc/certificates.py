@@ -14,8 +14,8 @@ field generator without a usable modulus; resolve_gf32_polynomial builds
 the six fields of order 32 from the walk gf.primitive_moduli(2, 5),
 reverifies both arcs under each modulus, and reports which candidates
 satisfy every claim.  Any two fields of order 32 are isomorphic, so the
-sweep builds one plane, over the first modulus, and reads the points of
-each candidate there through the isomorphism, which acts on exponents.
+sweep works in plane_of the first modulus and reads the points of each
+candidate there through the isomorphism, which acts on exponents.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import xor
 
 from .collineation import DegenerateSetError, GROUPS, PGAMMAL, stabilizer
 from .gf import FieldError, FieldTable, build_field, primitive_moduli
-from .plane import Plane, _sorted_distinct, build_plane, candidate_mask
+from .plane import Plane, _sorted_distinct, candidate_mask, plane_of
 
 CLAIM_KEYS = ("is_arc", "is_complete", "stabilizer_order", "stabilizer_name")
 
@@ -170,9 +170,9 @@ def _claims(plane: Plane, group: str, ids) -> tuple[dict, dict]:
 
 
 def certificate_plane(cert: ArcCertificate) -> tuple[Plane, list[int]]:
-    """The plane of a certificate's field and the sorted ids of its points.
-    A bad field spec, codes outside the field, the zero triple and points
-    equal after normalization raise."""
+    """plane_of the certificate's field, built from its spec on each call,
+    and the sorted ids of its points.  A bad field spec, codes outside the
+    field, the zero triple and points equal after normalization raise."""
     try:
         field = build_field(cert.p, cert.h, list(cert.modulus))
     except FieldError as exc:
@@ -183,7 +183,7 @@ def certificate_plane(cert: ArcCertificate) -> tuple[Plane, list[int]]:
             raise FieldMismatchError(f"point {list(pt)} has codes outside GF({q})")
         if pt == (0, 0, 0):
             raise MalformedCertificateError("the zero triple is not a point")
-    plane = build_plane(field)
+    plane = plane_of(field)
     ids = sorted(plane.point_id(pt) for pt in cert.points)
     if len(set(ids)) != len(ids):
         raise MalformedCertificateError("points are not distinct after normalization")
@@ -236,7 +236,8 @@ def _sweep_case(plane: Plane, field, exponents, want_order: int, want_name: str)
     claims, _ = _claims(plane, PGAMMAL, sorted(image.values()))
     result: dict = {"distinct": len(ids) == len(triples), "is_arc": claims["is_arc"]}
     if not claims["is_arc"]:
-        bad = next(t for t in combinations(ids, 3) if plane.collinear(*(image[i] for i in t)))
+        bad = next((a, b, c) for (a, x), (b, y), (c, z) in combinations([(i, image[i]) for i in ids], 3)
+                   if plane.line_masks[plane.line_rows[x][y]] >> z & 1)
         result["collinear_triple"] = [list(plane.points[i]) for i in bad]
     result.update((k, claims[k]) for k in CLAIM_KEYS[1:])
     want = dict(zip(CLAIM_KEYS, (True, True, want_order, want_name)))
@@ -254,7 +255,7 @@ def resolve_gf32_polynomial(k2_exponents, k3_exponents):
     report = {"candidates": []}
     passing = []
     fields = [FieldTable(2, 5, m, exp) for m, exp in primitive_moduli(2, 5)]
-    plane = build_plane(fields[0])
+    plane = plane_of(fields[0])
     for field in fields:
         entry = {
             "modulus": list(field.modulus),

@@ -8,7 +8,8 @@ vectors, so points and lines share one indexing.  The point list and the
 per-line point lists and bitmasks are built densely, each line's points
 solved from its equation, no dot product.  The pair -> line lookup has
 one row per point, filled from the lines through it when first read: a
-search reads few of the n rows.  No value a reader sees changes.
+search reads few of the n rows.  No value a reader sees changes, so
+plane_of keeps one plane per field spec, rows and all, for the process.
 """
 
 from __future__ import annotations
@@ -100,17 +101,19 @@ class Plane:
 
         # solve l.x = 0 for each line l; each case lists its ids ascending
         mt, at, neg, inv = field.mul_flat, field.add_flat, field.neg_list, field.inv_list
+        ids = list(range(n))  # one int object per point, shared by every line
+        affine = [ids[q + 1 + q * a:2 * q + 1 + q * a] for a in range(q)]  # [a][b]: (1, a, b)
         on_line: list[tuple[int, ...]] = []
         for l0, l1, l2 in points:
             if l2:  # (0, 1, c1) and (1, a, c0 + c1 a) with ci = -li/l2
                 s = neg[inv[l2]]
-                c0, c1 = mt[l0 * q + s], mt[l1 * q + s]
-                on_line.append((1 + c1, *[q + 1 + q * a + at[c0 * q + mt[c1 * q + a]] for a in range(q)]))
+                c0q, c1 = mt[l0 * q + s] * q, mt[l1 * q + s]
+                on_line.append((ids[1 + c1], *[r[at[c0q + m]] for r, m in zip(affine, mt[c1 * q:c1 * q + q])]))
             elif l1:  # (0, 0, 1) and (1, -l0/l1, b)
                 start = q + 1 + q * mt[neg[l0] * q + inv[l1]]
-                on_line.append((0, *range(start, start + q)))
+                on_line.append((0, *ids[start:start + q]))
             else:  # the line x0 = 0
-                on_line.append(tuple(range(q + 1)))
+                on_line.append(tuple(ids[:q + 1]))
         self.points_on_line = on_line
         self.line_masks = [sum(1 << i for i in pts) for pts in on_line]
 
@@ -192,3 +195,14 @@ def build_plane(field: FieldTable) -> Plane:
             f"plane order {field.q} exceeds the limit {DENSE_LIMIT}"
         )
     return Plane(field)
+
+
+_PLANES: dict = {}  # (p, h, modulus) -> the one Plane of that field spec
+
+
+def plane_of(field: FieldTable) -> Plane:
+    """build_plane(field) on the first call for field's spec, that plane after."""
+    key = (field.p, field.h, field.modulus)
+    if key not in _PLANES:
+        _PLANES[key] = build_plane(field)
+    return _PLANES[key]

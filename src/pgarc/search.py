@@ -37,7 +37,7 @@ from . import scheduler
 from .arcs import candidate_mask, iter_bits
 from .collineation import GROUPS, PGL, canonical_children, frame_images, standard_frame
 from .gf import MAX_ORDER, FieldError, build_field, factor_prime_power
-from .plane import Plane, build_plane
+from .plane import Plane, plane_of
 
 
 class MemoryBudgetExceededError(RuntimeError):
@@ -121,9 +121,9 @@ def default_field(q: int):
     return build_field(p, h, "auto")
 
 
-@functools.lru_cache(maxsize=None)
 def default_plane(q: int) -> Plane:
-    return build_plane(default_field(q))
+    """plane_of(default_field(q)): the search's plane when given none."""
+    return plane_of(default_field(q))
 
 
 def _apply_at(fn, reps, i: int):
@@ -291,10 +291,11 @@ def extend(
     # the root's secant block against each candidate never changes along a
     # descent: one precomputed AND, kept with the candidate's row, folds
     # those len(root) mask updates; the secants among root points are outside cand0
+    # (none for a root at the bound: descend stops there before reading one)
     all_mask = plane.all_points_mask
     root_block = {
         x: (all_mask & ~plane.secant_mask((*root, x)), rows[x]) for x in iter_bits(cand0)
-    }
+    } if len(root) < bound else {}
 
     added: list[int] = []
 

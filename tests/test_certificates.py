@@ -237,10 +237,32 @@ def test_verify_accepts_any_primitive_modulus_of_prime_field():
 
 
 def test_verify_rejects_bad_field_spec():
+    """A non-primitive modulus is refused on every call, also once the
+    plane of the certificate's order is cached: the field is built from
+    the spec each time, and a failed build caches nothing."""
     cert = load_fixture("arc14_q32_z4")
+    assert verify(cert).valid
     cert.modulus = (1, 1, 0, 0, 0, 1)  # reducible degree-5 polynomial
-    with pytest.raises(MalformedCertificateError):
-        verify(cert)
+    for _ in range(2):
+        with pytest.raises(MalformedCertificateError):
+            verify(cert)
+
+
+@pytest.mark.parametrize("name", ARC_FIXTURES)
+def test_verify_report_does_not_depend_on_the_plane_cache(name, monkeypatch):
+    """The cached plane carries no verdict: a fixture, and a copy with its
+    completeness claim flipped, get the same report from a cold cache as
+    from a warm one."""
+    from pgarc import plane as plane_layer
+
+    flipped = load_fixture(name)
+    flipped.claims["is_complete"] = not flipped.claims["is_complete"]
+    for cert in (load_fixture(name), flipped):
+        monkeypatch.setattr(plane_layer, "_PLANES", {})
+        cold = verify(cert)
+        assert len(plane_layer._PLANES) == 1
+        assert verify(cert) == cold
+    assert cold.failures and cold.failures[0]["claim"] == "is_complete"
 
 
 def test_verifier_does_not_import_search_layers():
@@ -345,9 +367,10 @@ def test_sweep_matches_the_per_modulus_oracle():
 
 
 def test_sweep_builds_one_plane(monkeypatch):
-    """The sweep builds one plane, not one per modulus; a certify pass,
-    three fixtures verified and the sweep, builds four."""
-    from pgarc import certificates
+    """The sweep builds one plane, not one per modulus; from a cold plane
+    cache a certify pass, three fixtures verified and the sweep, builds
+    one per distinct field, two, and a second pass builds none."""
+    from pgarc import certificates, plane as plane_layer
     from pgarc.gf import primitive_moduli
 
     def counted(field):
@@ -355,30 +378,36 @@ def test_sweep_builds_one_plane(monkeypatch):
         return build(field)
 
     calls = []
-    build = certificates.build_plane
-    monkeypatch.setattr(certificates, "build_plane", counted)
+    build = plane_layer.build_plane
+    monkeypatch.setattr(plane_layer, "build_plane", counted)
+    monkeypatch.setattr(plane_layer, "_PLANES", {})
     z4, z5 = (load_fixture(n).meta["generator_exponents"] for n in ("arc14_q32_z4", "arc14_q32_z5"))
     certificates.resolve_gf32_polynomial(z4, z5)
-    assert calls == [next(primitive_moduli(2, 5))[0]]
+    first = next(primitive_moduli(2, 5))[0]
+    assert calls == [first]
+    monkeypatch.setattr(plane_layer, "_PLANES", {})
     calls.clear()
-    for name in ARC_FIXTURES:
-        assert verify(load_fixture(name)).valid
-    certificates.resolve_gf32_polynomial(z4, z5)
-    assert len(calls) == 4
+    for _ in range(2):
+        for name in ARC_FIXTURES:
+            assert verify(load_fixture(name)).valid
+        certificates.resolve_gf32_polynomial(z4, z5)
+    assert calls == [load_fixture("arc14_q31_s3").modulus, first]
+    assert load_fixture("arc14_q32_z4").modulus == first
 
 
 def test_verify_builds_few_rows(monkeypatch):
     """Verifying arc14_q32_z4 reads 50 of the 1,057 rows of its plane's
     pair -> line lookup, and the plane builds no other row."""
-    from pgarc import certificates
+    from pgarc import plane as plane_layer
 
     def kept(field):
         planes.append(build(field))
         return planes[-1]
 
     planes = []
-    build = certificates.build_plane
-    monkeypatch.setattr(certificates, "build_plane", kept)
+    build = plane_layer.build_plane
+    monkeypatch.setattr(plane_layer, "build_plane", kept)
+    monkeypatch.setattr(plane_layer, "_PLANES", {})
     assert verify(load_fixture("arc14_q32_z4")).valid
     assert len(planes) == 1 and len(planes[0].line_rows) <= 64
 

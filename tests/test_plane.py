@@ -13,6 +13,7 @@ from pgarc.plane import (
     SamePointError,
     _normalized,
     build_plane,
+    plane_of,
 )
 from pgarc.gf import build_field, primitive_moduli
 from oracles import cross, det3, incidence_scan, random_arc, recount_coverage
@@ -261,6 +262,39 @@ def _assert_tables_match_scan(pl):
 @pytest.mark.parametrize("q", SMALL_Q + [16, 27, 31, 32])
 def test_tables_match_incidence_scan(q):
     _assert_tables_match_scan(build_plane(get_field(q)))
+
+
+@pytest.mark.parametrize("q", [5, 31, 32])
+def test_points_on_line_holds_one_int_per_point(q):
+    """Every line holds the same int object for a point: the lines of a
+    plane share plane.size ints."""
+    pl = build_plane(get_field(q))
+    assert len({id(i) for pts in pl.points_on_line for i in pts}) == pl.size
+
+
+def test_plane_of_keeps_one_plane_per_field_spec(monkeypatch):
+    """Two separately built tables of one field spec get the same plane,
+    two GF(32) moduli different ones; build_plane builds anew."""
+    import pgarc.plane as plane_layer
+    from pgarc import search
+
+    monkeypatch.setattr(plane_layer, "_PLANES", {})
+    (m0, _), (m1, _) = list(primitive_moduli(2, 5))[:2]
+    pl = plane_of(build_field(2, 5, list(m0)))
+    assert plane_of(build_field(2, 5, list(m0))) is pl is search.default_plane(32)
+    assert plane_of(build_field(2, 5, list(m1))) is not pl
+    assert build_plane(pl.field) is not pl
+
+
+@pytest.mark.parametrize("q", [31, 32])
+def test_plane_of_equals_a_fresh_build(q):
+    """The cached plane, shared with earlier callers, has the tables of a
+    plane built afresh over the same field."""
+    cached, fresh = plane_of(get_field(q)), build_plane(get_field(q))
+    assert cached.points == fresh.points
+    assert cached.points_on_line == fresh.points_on_line
+    assert cached.line_masks == fresh.line_masks
+    assert cached.frob_point_perms == fresh.frob_point_perms
 
 
 def test_line_rows_reject_keys_that_are_not_point_ids():

@@ -156,6 +156,22 @@ def test_extend_reports_complete_root():
     assert extend(pl7, PGL, frame, 6)
 
 
+def test_extend_builds_no_root_blocks_at_the_bound(monkeypatch):
+    """A root exactly at the bound with candidates left reads one secant
+    mask, the one inside candidate_mask; below the bound, one more per
+    candidate builds its root block."""
+    pl = build_plane(get_field(7))
+    frame = tuple(standard_frame(pl))
+    candidates = candidate_mask(pl, frame).bit_count()
+    calls = []
+    secant = pl.secant_mask
+    monkeypatch.setattr(pl, "secant_mask", lambda ids: calls.append(ids) or secant(ids))
+    assert extend(pl, PGL, frame, 4) == [] and calls == [sorted(frame)]
+    calls.clear()
+    extend(pl, PGL, frame, 5)
+    assert candidates and len(calls) == 1 + candidates
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = SearchConfig(q=5, classification_threshold=6, checkpoint_dir=str(tmp_path))
     levels = classify(cfg)
