@@ -19,11 +19,15 @@ onto one image of the set.  All of them image frames through one
 kernel, _frames, which takes a list of frames: the guided or candidate
 frames below, or every ordered frame (_every_frame).  It groups frames
 by Frobenius power and triangle T, evaluates the three sides of T at
-every point of the set once, and the frame map of (T, D) divides those
-values by their values at D.  In discrete logarithms that is two
-subtractions and two table lookups per image point, with no matrix and
-no normalization.  One builder, _frame_element, makes the matrix of a
-map that is returned; frame_map checks a quadruple from outside first.
+every point of the set once for every power, and the frame map of
+(T, D) divides those values by their values at D.  The lines of
+plane.lines are normalized and sigma = x -> x^(p^f) fixes 1, so sigma
+carries the side through a and b onto the side through sigma(a) and
+sigma(b), whose log at sigma(x) is p^f times the side's log at x, mod
+q - 1.  In discrete logarithms that is two subtractions and two table
+lookups per image point, with no matrix and no normalization.  One
+builder, _frame_element, makes the matrix of a map that is returned;
+frame_map checks a quadruple from outside first.
 plane._normalized normalizes matrices as it does points and lines.
 
 Canonical forms image only the frames that can reach the least image,
@@ -228,20 +232,19 @@ def _frame_element(plane: Plane, pts, f: int, quad) -> Collineation:
     return Collineation(_normalized(field, matrix), f)
 
 
-def _side_logs(plane: Plane, pts, f: int, pairs, known=None) -> dict:
+def _side_logs(plane: Plane, pts, pairs, known=None) -> dict:
     """side[a, b] for each pair of positions a < b in pairs: the logs of
-    the line through the conjugates of pts[a] and pts[b] under Frobenius
-    power f at the conjugate of every point of pts, None for a zero.
-    The lists of known, a side table already at hand, are kept."""
+    the line through pts[a] and pts[b] at every point of pts, None for a
+    zero.  The table serves every Frobenius power f: at the conjugates
+    the logs are p^f times these, mod q - 1 (module docstring).  The
+    lists of known, a side table already at hand, are kept."""
     field = plane.field
     q, log, mt, at = field.q, field.log, field.mul_flat, field.add_flat
-    perm, rows = plane.frob_point_perms[f], plane.line_rows
-    src = [perm[i] for i in pts]
-    coords = [plane.points[i] for i in src]
+    coords = [plane.points[i] for i in pts]
     side = dict(known) if known else {}
     for a, b in pairs:
         if (a, b) not in side:
-            l0, l1, l2 = plane.lines[rows[src[a]][src[b]]]
+            l0, l1, l2 = plane.lines[plane.line_rows[pts[a]][pts[b]]]
             side[a, b] = [log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
                           for x0, x1, x2 in coords]
     return side
@@ -275,12 +278,14 @@ def _frames(plane: Plane, pts, frames, sides=None):
 
     frames lists the (f, (V2, V1, V0, D)) wanted, as positions of frames
     of pts (_every_frame lists all of them); the records come in the
-    order of their first frames.  sides[f], a side table at hand, is
-    read before any of their sides is evaluated (_side_logs).
+    order of their first frames.  One side table serves every power
+    (_side_logs), so the offsets at power f are p^f times those at f =
+    0, mod q-1.  sides, a table at hand, is read before any side is
+    evaluated.
     """
-    m, k = plane.q - 1, len(pts)
+    p, m, k = plane.field.p, plane.q - 1, len(pts)
     wanted: dict = {}  # (f, V2, V1, V0) -> (the sides opposite V0, V1, V2, [D, ...])
-    needed: dict = {}
+    needed = set()
     for f, (v2, v1, v0, d) in frames:
         key = f, v2, v1, v0
         entry = wanted.get(key)
@@ -288,13 +293,12 @@ def _frames(plane: Plane, pts, frames, sides=None):
             w = ((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
                  (v0, v1) if v0 < v1 else (v1, v0))
             entry = wanted[key] = w, []
-            needed.setdefault(f, set()).update(w)
+            needed.update(w)
         entry[1].append(d)
-    tables = {f: _side_logs(plane, pts, f, pairs, sides and sides.get(f)) for f, pairs in needed.items()}
+    side = _side_logs(plane, pts, needed, sides)
     for (f, v2, v1, v0), ((p0, p1, p2), ds) in wanted.items():
-        side = tables[f]
-        w0, w1, w2 = side[p0], side[p1], side[p2]
-        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) % m, (w2[x] - w0[x]) % m) for x in range(k)
+        w0, w1, w2, s = side[p0], side[p1], side[p2], p**f
+        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
                                 if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
 
 
@@ -394,7 +398,7 @@ def _onto(labels, five) -> list:
 
 
 def _least_fives(plane: Plane, pts, group: str, sides):
-    """(least, guided, quads) for an arc pts and its side tables at
+    """(least, guided, quads) for an arc pts and its side table at
     hand: quads the records of _frames for one frame map (c, b, a, d)
     per 4-subset at f = 0, positions a < b < c < d, least the least c5
     over the 5-subsets that they find (plane.size if there is none), and
@@ -434,7 +438,7 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     """
     pts = _arc_points(plane, points, group)
     k = len(pts)
-    sides = {0: _side_logs(plane, pts, 0, combinations(range(k), 2))}
+    sides = _side_logs(plane, pts, combinations(range(k), 2))
     frames = [(0, (0, 1, 2, 3))]
     if k > 4:
         frames = _least_fives(plane, pts, group, sides)[1]
@@ -464,7 +468,8 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
     Q + (x,) that reached m0, imaged with R's side logs reused, or one
     of R's own guided frames.  Those image R alike for every child, so
     the parent's own test keeps their tails, and a child costs the image
-    of x under each, two lookups, and one comparison.
+    of x under each, two lookups, and one comparison.  R's side logs and
+    x's logs on them serve every Frobenius power f, times p^f.
     """
     pts = _arc_points(plane, parent, group)
     above = candidate_mask(plane, pts) >> (pts[-1] + 1) << (pts[-1] + 1)
@@ -476,27 +481,21 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
     log, mt, at = field.log, field.mul_flat, field.add_flat
     row, exp = plane.affine_row, field.exp
     c5, onto = _five_point_table(plane, group)
-    sides = {f: _side_logs(plane, pts, f, combinations(range(k), 2))
-             for f in _powers(plane, group)}
+    sides = _side_logs(plane, pts, combinations(range(k), 2))
     least, frames, quads = _least_fives(plane, pts, group, sides)
     head = pts[3:]
-    # R's guided frames: (f, the pairs of their sides, D's offsets, tail of R)
-    own = [(f, [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))], offs[d], tail)
+    # R's guided frames: (p^f, the pairs of their sides, D's offsets, tail of R)
+    own = [(field.p**f, [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))], offs[d], tail)
            for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, frames, sides)]
     if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
         return []
-    lines = [[(p, plane.lines[plane.line_rows[perm[pts[p[0]]]][perm[pts[p[1]]]]]) for p in sides[0]]
-             for perm in plane.frob_point_perms[:len(sides)]]
-
-    def logs_at(f: int, x: int) -> dict:
-        """The logs of x's conjugate under Frobenius power f on R's sides."""
-        x0, x1, x2 = plane.points[plane.frob_point_perms[f][x]]
-        return {p: log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-                for p, (l0, l1, l2) in lines[f]}
+    lines = [((a, b), plane.lines[plane.line_rows[pts[a]][pts[b]]]) for a, b in sides]
 
     def below(x: int) -> bool:
         """Whether pts + [x] has an image below itself."""
-        logs = logs_at(0, x)
+        x0, x1, x2 = plane.points[x]
+        logs = {pair: log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
+                for pair, (l0, l1, l2) in lines}
         m0 = pts[4] if k > 4 else x
         guided = []
         for _, (c, b, a), offs, ds in quads:
@@ -510,13 +509,12 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
                 if c5[y] == m0:
                     guided += _onto(onto[y], (c, b, a, d, k))
         target = head + [x]
-        xlogs = [logs] + [logs_at(f, x) for f in range(1, len(sides))]
-        for f, (p0, p1, p2), (d1, d2), tail in own:
-            v = xlogs[f]
-            y = row[(v[p1] - v[p0] - d1) % m] + exp[(v[p2] - v[p0] - d2) % m]
+        for s, (p0, p1, p2), (d1, d2), tail in own:
+            v = logs[p0]
+            y = row[(s * (logs[p1] - v) - d1) % m] + exp[(s * (logs[p2] - v) - d2) % m]
             if sorted(tail + [y]) < target:
                 return True
-        known = {f: {p: s + [xlogs[f][p]] for p, s in sides[f].items()} for f in {f for f, _ in guided}}
+        known = {pair: values + [logs[pair]] for pair, values in sides.items()} if guided else None
         return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], guided, known))
 
     return [(*pts, x) for x in iter_bits(above) if not below(x)]
@@ -597,7 +595,7 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     field = plane.field
     sides = None
     if len(pts) > 4 and plane.collinear_triple(pts) is None:
-        sides = {0: _side_logs(plane, pts, 0, combinations(range(len(pts)), 2))}
+        sides = _side_logs(plane, pts, combinations(range(len(pts)), 2))
         frames = _least_fives(plane, pts, group, sides)[1]
     else:
         frames = _invariant_frames(plane, pts, group)

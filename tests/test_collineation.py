@@ -449,7 +449,8 @@ def test_fifth_point_of_the_least_image_is_the_least_c5(q, group):
 
 
 @pytest.mark.parametrize("q, group, sample", [
-    (13, PGL, None), (16, PGAMMAL, None), (31, PGL, None), (32, PGAMMAL, 25),
+    (13, PGL, None), (16, PGAMMAL, None), (25, PGAMMAL, 25), (27, PGAMMAL, 25), (31, PGL, None),
+    (32, PGAMMAL, 25),
 ])
 def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
     """canonical_children against the full-sweep oracle
@@ -457,8 +458,9 @@ def test_guided_children_and_forms_match_the_full_sweeps(q, group, sample):
     a random representative of 5 points, one of 6 with a nontrivial
     stabilizer, and a random canonical child of a random representative
     of 6.  canonicalize against the least of frame_images on every such
-    child, or on a seeded sample of them per parent where the 5
-    Frobenius powers make each full sweep slow."""
+    child, or on a seeded sample of them per parent where the Frobenius
+    powers make each full sweep slow.  q = 16, 25, 27 and 32 test the
+    f > 0 images, scaled from the f = 0 logs, with p = 2, 5, 3 and 2."""
     pl = get_plane(q)
     rng = random.Random(f"guided:{q}:{group}")
     five, six = (lv.representatives for lv in classification(q, group, 6)[1:])
@@ -543,13 +545,18 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
         assert _check_stabilizer(get_plane(q), conic(get_plane(q)), group) == order
 
 
-@pytest.mark.parametrize("q, group", [(7, PGL), (8, PGAMMAL), (13, PGL), (32, PGAMMAL)])
+@pytest.mark.parametrize("q, group", [
+    (4, PGAMMAL), (7, PGL), (8, PGAMMAL), (9, PGAMMAL), (13, PGL), (16, PGAMMAL), (25, PGAMMAL),
+    (27, PGAMMAL), (32, PGAMMAL),
+])
 def test_every_frame_records_follow_the_logged_sweep(q, group):
     """_frames over _every_frame against oracles.logged_frame_sweep on
     seeded arcs of 4 to 8 points: the same records in the same order,
     compared as Frobenius power, triangle and D as conjugate ids, and
     the (r1, r2) offsets of each D.  frame_images yields in this order,
-    and _five_point_table lists its onto frames in it."""
+    and _five_point_table lists its onto frames in it.  The oracle
+    evaluates each Frobenius power from scratch, so the groups with
+    h > 1 (p = 2, 3 and 5) test the offsets scaled by p^f."""
     pl = get_plane(q)
     rng = random.Random(f"every-frame:{q}:{group}")
     for n in range(4, 9):
