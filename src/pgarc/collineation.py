@@ -16,11 +16,12 @@ frame_images lists those images of an arc, canonicalize takes the least
 of them, canonical_children keeps the children of an arc above its last
 point that are their own least image, and stabilizer keeps the maps
 onto one image of the set.  All of them image frames through one
-kernel, _frames, which takes a list of frames: the guided or candidate
-frames below, or every ordered frame (_every_frame).  It groups frames
-by Frobenius power and triangle T, evaluates the three sides of T at
-every point of the set once for every power, and the frame map of
-(T, D) divides those values by their values at D.  The lines of
+kernel, _frames, which takes frames grouped as (f, T, Ds), one group
+per Frobenius power f and ordered triangle T, as they are made: every
+ordered frame (_every_frame), or the guided or candidate frames below.
+It evaluates the sides of T at every point of the set once for all
+powers, and the frame map of (T, D) divides those values by their
+values at D.  The lines of
 plane.lines are normalized and sigma = x -> x^(p^f) fixes 1, so sigma
 carries the side through a and b onto the side through sigma(a) and
 sigma(b), whose log at sigma(x) is p^f times the side's log at x, mod
@@ -71,7 +72,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from .arcs import candidate_mask, iter_bits
-from .plane import Plane, _normalized, _sorted_distinct
+from .plane import Plane, PointRangeError, _normalized, _sorted_distinct
 
 PGL = "pgl"
 PGAMMAL = "pgammal"
@@ -172,11 +173,14 @@ def inverse(field, g: Collineation) -> Collineation:
 
 def apply_matrix(plane: Plane, m, point: int) -> int:
     """Image of a point index under a matrix (no Frobenius part).  A
-    singular matrix that sends the point to the zero triple raises."""
+    singular matrix that sends the point to the zero triple raises, and
+    an id outside [0, n) PointRangeError."""
     f = plane.field
     q = f.q
     mt = f.mul_flat
     at = f.add_flat
+    if not 0 <= point < plane.size:
+        raise PointRangeError(f"point {point} is not an id in [0, {plane.size})")
     x0, x1, x2 = plane.points[point]
     return plane.point_id((
         at[at[mt[m[0] * q + x0] * q + mt[m[1] * q + x1]] * q + mt[m[2] * q + x2]],
@@ -186,8 +190,9 @@ def apply_matrix(plane: Plane, m, point: int) -> int:
 
 
 def apply(plane: Plane, g: Collineation, point: int) -> int:
-    """Frobenius, then matrix, then normalization."""
-    if g.frob:
+    """Frobenius, then matrix, then normalization.  An id outside
+    [0, n) is left to apply_matrix, which raises PointRangeError."""
+    if g.frob and 0 <= point < plane.size:
         point = plane.frob_point_perms[g.frob][point]
     return apply_matrix(plane, g.matrix, point)
 
@@ -256,58 +261,45 @@ def _powers(plane: Plane, group: str) -> range:
 
 
 def _every_frame(plane: Plane, k: int, group: str) -> list:
-    """Every ordered frame (f, (V2, V1, V0, D)) of an arc of k points
-    under group, as positions: per Frobenius power and triangle, its 6
-    orderings, each with every other point as D."""
-    return [(f, (t[l], t[j], t[i], d)) for f in _powers(plane, group)
-            for t in combinations(range(k), 3) for i, j, l in permutations(range(3))
-            for d in range(k) if d not in t]
+    """Every ordered frame of an arc of k points under group, as groups
+    (f, (V2, V1, V0), Ds) of positions: per Frobenius power and
+    triangle, its 6 orderings, each with every other position as D."""
+    return [(f, (t[l], t[j], t[i]), [d for d in range(k) if d not in t]) for f in _powers(plane, group)
+            for t in combinations(range(k), 3) for i, j, l in permutations(range(3))]
 
 
-def _frames(plane: Plane, pts, frames, sides=None):
+def _frames(plane: Plane, pts, groups, sides=None):
     """The kernel of every image this module takes: the frame maps of a
-    point set in log coordinates, grouped by Frobenius power f and
-    ordered triangle.  For a triangle of positions V0, V1, V2 let w_i(x)
-    be the value at the conjugate of pts[x] of the side opposite V_i (a
-    row of adj[V0|V1|V2], up to scalars); the frame map of (V2, V1, V0,
-    D) sends x to (w0(x)/w0(D), w1(x)/w1(D), w2(x)/w2(D)).  Yields
-    (f, (V2, V1, V0), offs, ds): offs maps each position x off the sides
-    to (r1(x), r2(x)), r_i = log w_i - log w0 mod q-1, so x lands at
-    plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)] for each
-    position D in ds.
-
-    frames lists the (f, (V2, V1, V0, D)) wanted, as positions of frames
-    of pts (_every_frame lists all of them); the records come in the
-    order of their first frames.  One side table serves every power
-    (_side_logs), so the offsets at power f are p^f times those at f =
-    0, mod q-1.  sides, a table at hand, is read before any side is
-    evaluated.
+    point set in log coordinates.  For a triangle of positions V0, V1,
+    V2 let w_i(x) be the value at the conjugate of pts[x] of the side
+    opposite V_i (a row of adj[V0|V1|V2], up to scalars); the frame map
+    of (V2, V1, V0, D) sends x to (w0(x)/w0(D), w1(x)/w1(D),
+    w2(x)/w2(D)).  groups lists frames of pts as (f, (V2, V1, V0), Ds),
+    positions: each D in Ds after Frobenius power f (_every_frame lists
+    all of them).  Yields (f, (V2, V1, V0), offs, Ds) per group, in the
+    order given: offs maps each position x off the sides to (r1(x),
+    r2(x)), r_i = log w_i - log w0 mod q-1, so x lands at
+    plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)].  One side
+    table serves every power (_side_logs), so the offsets at power f are
+    p^f times those at f = 0, mod q-1.  sides, a table at hand, is read
+    before any side is evaluated.
     """
     p, m, k = plane.field.p, plane.q - 1, len(pts)
-    wanted: dict = {}  # (f, V2, V1, V0) -> (the sides opposite V0, V1, V2, [D, ...])
-    needed = set()
-    for f, (v2, v1, v0, d) in frames:
-        key = f, v2, v1, v0
-        entry = wanted.get(key)
-        if entry is None:
-            w = ((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
-                 (v0, v1) if v0 < v1 else (v1, v0))
-            entry = wanted[key] = w, []
-            needed.update(w)
-        entry[1].append(d)
-    side = _side_logs(plane, pts, needed, sides)
-    for (f, v2, v1, v0), ((p0, p1, p2), ds) in wanted.items():
+    opposite = [((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
+                 (v0, v1) if v0 < v1 else (v1, v0)) for _, (v2, v1, v0), _ in groups]
+    side = _side_logs(plane, pts, {pair for pairs in opposite for pair in pairs}, sides)
+    for (f, tri, ds), (p0, p1, p2) in zip(groups, opposite):
         w0, w1, w2, s = side[p0], side[p1], side[p2], p**f
-        yield f, (v2, v1, v0), {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
-                                if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
+        yield f, tri, {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
+                       if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
 
 
-def _tails(plane: Plane, pts, frames, sides=None):
+def _tails(plane: Plane, pts, groups, sides=None):
     """(f, (V2, V1, V0), D, offs, tail) for each frame of _frames(plane,
-    pts, frames, sides): tail is the sorted image of the points off the
+    pts, groups, sides): tail is the sorted image of the points off the
     sides of the triangle."""
     row, exp = plane.affine_row, plane.field.exp
-    for f, tri, offs, ds in _frames(plane, pts, frames, sides):
+    for f, tri, offs, ds in _frames(plane, pts, groups, sides):
         for d in ds:
             d1, d2 = offs[d]
             yield f, tri, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
@@ -359,53 +351,52 @@ def _five_point_table(plane: Plane, group: str):
     Built on first use, once per plane and group, by orbit peeling: a P
     without an entry, in increasing order, is the least point of its
     class, and one sweep of the frames g of A = frame + (P,) reaches
-    every other point y of the class, g(A) = frame + (y,); g inverse
-    carries frame + (y,) onto A, so it joins onto[y].  The tables are
-    a function of the plane and group alone, kept as tuples while the
-    plane lives.
+    every other point y of the class.  g carries the triangle and D of
+    its frame onto the frame, and the fifth position t = 10 - sum(tri)
+    - D onto y, so its tail is (2q + 2, y) and g(A) = frame + (y,); g
+    inverse carries frame + (y,) onto A, so it joins onto[y].  The
+    tables are a function of the plane and group alone, kept as tuples
+    while the plane lives.
     """
     tables = _FIVE_POINT_TABLES.setdefault(plane, {})
     if group not in tables:
         frame = standard_frame(plane)
         on_sides = plane.secant_mask(frame)
-        row, exp, h = plane.affine_row, plane.field.exp, plane.field.h
+        h = plane.field.h
         frames = _every_frame(plane, 5, group)
         c5 = [None] * plane.size
         onto: list = [None] * plane.size
         for p in range(plane.size):
             if c5[p] is not None or on_sides >> p & 1:
                 continue
-            for f, tri, offs, ds in _frames(plane, frame + (p,), frames):
-                for d in ds:
-                    d1, d2 = offs[d]
-                    for t, (a, b) in offs.items():
-                        if t != d:
-                            y = row[a - d1] + exp[b - d2]
-                            # g carries position order[i] of frame + (p,) to the i-th point of frame + (y,)
-                            order = (*tri, d, t)
-                            if c5[y] is None:
-                                c5[y], onto[y] = p, []
-                            onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
+            for f, tri, d, _, (_, y) in _tails(plane, frame + (p,), frames):
+                # g carries position order[i] of frame + (p,) to the i-th point of frame + (y,)
+                order = (*tri, d, 10 - sum(tri) - d)
+                if c5[y] is None:
+                    c5[y], onto[y] = p, []
+                onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
         tables[group] = tuple(c5), tuple(o and tuple(o) for o in onto)
     return tables[group]
 
 
 def _onto(labels, five) -> list:
-    """The frames of a 5-subset, as positions, that reach frame + (c5,):
-    five lists its positions in the order that a frame map carries onto
-    frame + (y,), and labels is onto[y] of _five_point_table."""
-    return [(f, tuple(five[t] for t in tau)) for f, tau in labels]
+    """The frames of a 5-subset, as positions, that reach frame + (c5,),
+    each a group of one D (_frames): five lists its positions in the
+    order that a frame map carries onto frame + (y,), and labels is
+    onto[y] of _five_point_table."""
+    return [(f, (five[a], five[b], five[c]), (five[d],)) for f, (a, b, c, d) in labels]
 
 
 def _least_fives(plane: Plane, pts, group: str, sides):
     """(least, guided, quads) for an arc pts and its side table at
     hand: quads the records of _frames for one frame map (c, b, a, d)
-    per 4-subset at f = 0, positions a < b < c < d, least the least c5
-    over the 5-subsets that they find (plane.size if there is none), and
+    per 4-subset at f = 0, positions a < b < c < d, grouped as (0, (c,
+    b, a), range(c + 1, len(pts))), least the least c5 over the
+    5-subsets that they find (plane.size if there is none), and
     guided the guided frames, those that carry a 5-subset with that c5
     onto frame + (c5,)."""
-    quads = list(_frames(plane, pts, [(0, (c, b, a, d)) for a, b, c, d
-                                      in combinations(range(len(pts)), 4)], sides))
+    quads = list(_frames(plane, pts, [(0, (c, b, a), range(c + 1, len(pts))) for a, b, c
+                                      in combinations(range(len(pts) - 1), 3)], sides))
     c5, onto = _five_point_table(plane, group)
     row, exp = plane.affine_row, plane.field.exp
     least, reached = plane.size, []
@@ -439,7 +430,7 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     pts = _arc_points(plane, points, group)
     k = len(pts)
     sides = _side_logs(plane, pts, combinations(range(k), 2))
-    frames = [(0, (0, 1, 2, 3))]
+    frames = [(0, (0, 1, 2), [3])]
     if k > 4:
         frames = _least_fives(plane, pts, group, sides)[1]
     best = [plane.size]  # above every index, so the first image wins
@@ -521,12 +512,13 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
 
 
 def _invariant_frames(plane: Plane, pts, group: str) -> list:
-    """The candidate frames (f, Q) of a point set that is not an arc of
-    at least 5 points: every Frobenius power of the group times every
+    """The candidate frames of a point set that is not an arc of at
+    least 5 points: every Frobenius power f of the group times every
     ordered 4-subset Q in general position with inv(Q[i]) = inv(Q0[i])
-    for each i.  inv(x) is the sorted sizes of the lines through pts[x]
-    that hold at least 3 points of pts, and Q0 is the first 4-subset in
-    general position when the positions are ordered by (size of their
+    for each i, as groups (f, Q[:3], [Q[3], ...]) in product order.
+    inv(x) is the sorted sizes of the lines through pts[x] that hold at
+    least 3 points of pts, and Q0 is the first 4-subset in general
+    position when the positions are ordered by (size of their
     invariant's class, invariant, position).  A set without one raises
     DegenerateSetError."""
     k, rows = len(pts), plane.line_rows
@@ -548,8 +540,9 @@ def _invariant_frames(plane: Plane, pts, group: str) -> list:
     if q0 is None:
         raise DegenerateSetError("no 4-subset in general position")
     classes = [[x for x in range(k) if inv[x] == inv[p]] for p in q0]
-    quads = [quad for quad in product(*classes) if len(set(quad)) == 4 and general(quad)]
-    return [(f, quad) for f in _powers(plane, group) for quad in quads]
+    groups = [(tri, [d for d in classes[3] if d not in tri and general(tri + (d,))])
+              for tri in product(*classes[:3]) if len(set(tri)) == 3 and general(tri)]
+    return [(f, tri, ds) for f in _powers(plane, group) for tri, ds in groups if ds]
 
 
 def _order(sigma, f: int, h: int) -> int:
@@ -600,7 +593,8 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     else:
         frames = _invariant_frames(plane, pts, group)
     row, exp = plane.affine_row, field.exp
-    g1 = _frame_element(plane, pts, *frames[0])
+    f1, tri1, ds1 = frames[0]
+    g1 = _frame_element(plane, pts, f1, (*tri1, ds1[0]))
     target = {apply(plane, g1, x): i for i, x in enumerate(pts)}  # g1(S), point -> position
     back, elements, orders = inverse(field, g1), [], []
     for f, tri, offs, ds in _frames(plane, pts, frames, sides):

@@ -181,11 +181,8 @@ class Plane:
 def candidate_mask(plane: Plane, members) -> int:
     """Bitmask of the points on no secant of the pairwise distinct points
     members, members left out: for an arc, the points that extend it to
-    an arc."""
-    mem_mask = 0
-    for m in members:
-        mem_mask |= 1 << m
-    return plane.all_points_mask & ~plane.secant_mask(members) & ~mem_mask
+    an arc.  secant_mask checks the ids before a bit is set."""
+    return plane.all_points_mask & ~plane.secant_mask(members) & ~sum(1 << m for m in members)
 
 
 def build_plane(field: FieldTable) -> Plane:

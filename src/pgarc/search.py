@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import scheduler
 from .arcs import candidate_mask, iter_bits
-from .collineation import GROUPS, PGL, canonical_children, frame_images, standard_frame
+from .collineation import GROUPS, PGL, DegenerateSetError, canonical_children, frame_images, standard_frame
 from .gf import MAX_ORDER, FieldError, build_field, factor_prime_power
 from .plane import Plane, plane_of
 
@@ -278,9 +278,12 @@ def extend(
     adding candidates in increasing index order.  Nothing is pruned as
     isomorphic: min_complete_size folds the arcs of all branches into
     their classes afterwards.  A branch's supersets do not depend on the
-    group, so group is unused.
+    group, so group is unused.  A root that is not an arc raises
+    DegenerateSetError, and bad ids raise as in collinear_triple.
     """
     root = sorted(rep)
+    if plane.collinear_triple(root) is not None:
+        raise DegenerateSetError(f"root {root} is not an arc")
     if len(root) > bound:
         return []
     results: list[tuple[int, ...]] = []

@@ -7,7 +7,7 @@ import pytest
 
 from pgarc.arcs import candidate_mask, iter_bits
 from pgarc.collineation import standard_frame
-from pgarc.plane import DuplicatePointsError
+from pgarc.plane import DuplicatePointsError, PointRangeError
 from oracles import brute_force_is_complete, random_arc, recount_coverage
 from support import get_plane
 
@@ -75,3 +75,13 @@ def test_candidate_mask_rejects_repeated_members():
         candidate_mask(pl, [3, 3])
     with pytest.raises(DuplicatePointsError, match="point 0 is repeated"):
         candidate_mask(pl, [*standard_frame(pl), 0])
+
+
+def test_candidate_mask_rejects_ids_out_of_range():
+    """An id -1 once raised "negative shift count", as the member bits
+    were set before the ids were checked; every bad id raises
+    PointRangeError."""
+    pl = get_plane(7)
+    for members in ([-1, 3, 5], [3, 5, 57], [200]):
+        with pytest.raises(PointRangeError):
+            candidate_mask(pl, members)

@@ -14,6 +14,7 @@ from pgarc.collineation import (
     PGAMMAL,
     PGL,
     apply,
+    apply_matrix,
     canonical_children,
     canonicalize,
     compose,
@@ -393,7 +394,8 @@ def test_canonical_children_matches_is_canonical_at_full_order(q, group):
 
 
 FIVE_POINT_CASES = [(5, PGL), (7, PGL), (8, PGL), (8, PGAMMAL), (9, PGL), (9, PGAMMAL),
-                    (16, PGL), (16, PGAMMAL), (31, PGL), (32, PGL), (32, PGAMMAL)]
+                    (16, PGL), (16, PGAMMAL), (25, PGAMMAL), (27, PGAMMAL), (31, PGL), (32, PGL),
+                    (32, PGAMMAL)]
 
 
 @pytest.mark.parametrize("q, group", FIVE_POINT_CASES)
@@ -550,10 +552,11 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
     (27, PGAMMAL), (32, PGAMMAL),
 ])
 def test_every_frame_records_follow_the_logged_sweep(q, group):
-    """_frames over _every_frame against oracles.logged_frame_sweep on
-    seeded arcs of 4 to 8 points: the same records in the same order,
-    compared as Frobenius power, triangle and D as conjugate ids, and
-    the (r1, r2) offsets of each D.  frame_images yields in this order,
+    """_frames over _every_frame on seeded arcs of 4 to 8 points: one
+    record per group given, with its Frobenius power, triangle and Ds,
+    in the order given; and against oracles.logged_frame_sweep, the
+    same records in the same order, compared as Frobenius power,
+    triangle and D as conjugate ids, and the (r1, r2) offsets of each D.  frame_images yields in this order,
     and _five_point_table lists its onto frames in it.  The oracle
     evaluates each Frobenius power from scratch, so the groups with
     h > 1 (p = 2, 3 and 5) test the offsets scaled by p^f."""
@@ -561,7 +564,9 @@ def test_every_frame_records_follow_the_logged_sweep(q, group):
     rng = random.Random(f"every-frame:{q}:{group}")
     for n in range(4, 9):
         arc = oracles.random_arc(pl, rng, max_size=n)
-        records = list(_frames(pl, arc, _every_frame(pl, len(arc), group)))
+        groups = _every_frame(pl, len(arc), group)
+        records = list(_frames(pl, arc, groups))
+        assert [(f, tri, ds) for f, tri, _, ds in records] == groups, (q, group, arc)
         logged = list(oracles.logged_frame_sweep(pl, arc, group))
         assert len(records) == len(logged) == (pl.field.h if group == PGAMMAL else 1) * 6 * comb(len(arc), 3)
         for (f, tri, offs, ds), (lf, corners, ids, r1, r2, odd, _, _) in zip(records, logged):
@@ -670,7 +675,7 @@ def test_gf32_non_arcs_need_few_candidate_frames():
     sets = gf32_sweep_sets()
     assert [len(ids) for _, ids in sets] == [14] * 10
     every = sum(5 * 24 * comb(len(ids), 4) for _, ids in sets)
-    candidates = sum(len(_invariant_frames(pl, ids, PGAMMAL)) for pl, ids in sets)
+    candidates = sum(len(ds) for pl, ids in sets for _, _, ds in _invariant_frames(pl, ids, PGAMMAL))
     assert (candidates, every) == (1960, 1_201_200)
     assert 500 * candidates < every
 
@@ -685,6 +690,23 @@ def test_stabilizer_rejects_bad_ids():
     for pts in ([0, 1, 8, 16, 16], [0, 1, 8, 8]):
         with pytest.raises(DuplicatePointsError):
             stabilizer(pl, pts, PGL)
+
+
+def test_point_maps_reject_bad_ids():
+    """apply read id -1 as point n - 1 and apply_matrix raised a bare
+    IndexError at id n: both raise PointRangeError, with and without a
+    Frobenius part."""
+    pl = get_plane(7)
+    g = Collineation((0, 1, 0, 0, 0, 1, 1, 0, 0), 0)
+    for x in (-1, 57, 60):
+        with pytest.raises(PointRangeError):
+            apply(pl, g, x)
+        with pytest.raises(PointRangeError):
+            apply_matrix(pl, g.matrix, x)
+    pl8 = get_plane(8)
+    for x in (-1, pl8.size):
+        with pytest.raises(PointRangeError):
+            apply(pl8, Collineation(IDENTITY.matrix, 1), x)
 
 
 def test_canonical_forms_reject_repeated_ids():

@@ -10,9 +10,9 @@ import pytest
 
 from pgarc import scheduler
 from pgarc.arcs import candidate_mask
-from pgarc.collineation import PGAMMAL, PGL, canonicalize, standard_frame
+from pgarc.collineation import PGAMMAL, PGL, DegenerateSetError, canonicalize, standard_frame
 from pgarc.gf import build_field
-from pgarc.plane import build_plane
+from pgarc.plane import DuplicatePointsError, PointRangeError, build_plane
 from pgarc.search import (
     CheckpointError,
     ClassificationLevel,
@@ -170,6 +170,21 @@ def test_extend_builds_no_root_blocks_at_the_bound(monkeypatch):
     calls.clear()
     extend(pl, PGL, frame, 5)
     assert candidates and len(calls) == 1 + candidates
+
+
+def test_extend_rejects_roots_that_are_not_arcs():
+    """At q = 7 the root (0, 1, 2, 3) has 0, 1 and 2 on the line x0 = 0;
+    extend once reported 294 "complete arcs" above it.  It raises
+    DegenerateSetError, at and above the bound too, and a bad or
+    repeated id raises as in collinear_triple."""
+    pl = get_plane(7)
+    for bound in (9, 4, 3):
+        with pytest.raises(DegenerateSetError):
+            extend(pl, PGL, (0, 1, 2, 3), bound)
+    with pytest.raises(PointRangeError):
+        extend(pl, PGL, (0, 1, 8, 57), 9)
+    with pytest.raises(DuplicatePointsError):
+        extend(pl, PGL, (0, 1, 8, 8), 9)
 
 
 def test_checkpoint_round_trip(tmp_path):
