@@ -14,22 +14,24 @@ complete setwise stabilizer without any generic group machinery.
 
 frame_images lists those images of an arc, canonicalize takes the least
 of them, canonical_children keeps the children of an arc above its last
-point that are their own least image, and stabilizer keeps the maps
-onto one image of the set.  All of them image frames through one
-kernel, _frames, which takes frames grouped as (f, T, Ds), one group
-per Frobenius power f and ordered triangle T, as they are made: every
+point that are their own least image, and stabilizer keeps the maps onto
+one image of the set.  All of them image frames through one kernel,
+_frames, which takes frames grouped as (f, T, Ds), one group per
+Frobenius power f and ordered triangle T, as they are made: every
 ordered frame (_every_frame), or the guided or candidate frames below.
 It evaluates the sides of T at every point of the set once for all
-powers, and the frame map of (T, D) divides those values by their
-values at D.  The lines of
-plane.lines are normalized and sigma = x -> x^(p^f) fixes 1, so sigma
-carries the side through a and b onto the side through sigma(a) and
-sigma(b), whose log at sigma(x) is p^f times the side's log at x, mod
-q - 1.  In discrete logarithms that is two subtractions and two table
-lookups per image point, with no matrix and no normalization.  One
-builder, _frame_element, makes the matrix of a map that is returned;
-frame_map checks a quadruple from outside first.
-plane._normalized normalizes matrices as it does points and lines.
+powers, and the frame map of (T, D) divides those values by their values
+at D.  It hands T's sides and p^f to the consumer, which images only the
+points it reads: _tails every point off the sides, _least_fives the Ds
+of its quads, stabilizer up to the first miss.  The lines of plane.lines
+are normalized and sigma = x -> x^(p^f) fixes 1, so sigma carries the
+side through a and b onto the side through sigma(a) and sigma(b), whose
+log at sigma(x) is p^f times the side's log at x, mod q - 1.  In discrete
+logarithms that is two subtractions and two table lookups per image
+point, with no matrix and no normalization.  One builder, _frame_element,
+makes the matrix of a map that is returned; frame_map checks a quadruple
+from outside first.  plane._normalized normalizes matrices as it does
+points and lines.
 
 Canonical forms image only the frames that can reach the least image,
 chosen by a five-point invariant.  For a 5-arc T let c5(T) =
@@ -276,30 +278,30 @@ def _frames(plane: Plane, pts, groups, sides=None):
     of (V2, V1, V0, D) sends x to (w0(x)/w0(D), w1(x)/w1(D),
     w2(x)/w2(D)).  groups lists frames of pts as (f, (V2, V1, V0), Ds),
     positions: each D in Ds after Frobenius power f (_every_frame lists
-    all of them).  Yields (f, (V2, V1, V0), offs, Ds) per group, in the
-    order given: offs maps each position x off the sides to (r1(x),
-    r2(x)), r_i = log w_i - log w0 mod q-1, so x lands at
-    plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)].  One side
-    table serves every power (_side_logs), so the offsets at power f are
-    p^f times those at f = 0, mod q-1.  sides, a table at hand, is read
-    before any side is evaluated.
+    all of them).  Yields (f, (V2, V1, V0), w, p^f, Ds) per group, in
+    the order given: w = (w0, w1, w2) holds the sides' logs at f = 0
+    (_side_logs), None for a zero, and a position x off the sides has
+    offsets r_i(x) = p^f (log w_i - log w0) mod q-1 at power f and lands
+    at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)].  sides, a
+    table at hand, is read before any side is evaluated.
     """
-    p, m, k = plane.field.p, plane.q - 1, len(pts)
+    p = plane.field.p
     opposite = [((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
                  (v0, v1) if v0 < v1 else (v1, v0)) for _, (v2, v1, v0), _ in groups]
     side = _side_logs(plane, pts, {pair for pairs in opposite for pair in pairs}, sides)
     for (f, tri, ds), (p0, p1, p2) in zip(groups, opposite):
-        w0, w1, w2, s = side[p0], side[p1], side[p2], p**f
-        yield f, tri, {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
-                       if w0[x] is not None and w1[x] is not None and w2[x] is not None}, ds
+        yield f, tri, (side[p0], side[p1], side[p2]), p**f, ds
 
 
 def _tails(plane: Plane, pts, groups, sides=None):
     """(f, (V2, V1, V0), D, offs, tail) for each frame of _frames(plane,
-    pts, groups, sides): tail is the sorted image of the points off the
-    sides of the triangle."""
-    row, exp = plane.affine_row, plane.field.exp
-    for f, tri, offs, ds in _frames(plane, pts, groups, sides):
+    pts, groups, sides): offs the offsets of every position off the
+    sides of the triangle, made once per group, and tail the sorted
+    image of those positions."""
+    row, exp, m, k = plane.affine_row, plane.field.exp, plane.q - 1, len(pts)
+    for f, tri, (w0, w1, w2), s, ds in _frames(plane, pts, groups, sides):
+        offs = {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
+                if w0[x] is not None and w1[x] is not None and w2[x] is not None}
         for d in ds:
             d1, d2 = offs[d]
             yield f, tri, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
@@ -364,17 +366,18 @@ def _five_point_table(plane: Plane, group: str):
         on_sides = plane.secant_mask(frame)
         h = plane.field.h
         frames = _every_frame(plane, 5, group)
+        # g carries position order[i] of frame + (p,) to the i-th point of frame + (y,): label order^-1
+        labels = [(-f % h, tuple(sorted(range(5), key=(*tri, d, 10 - sum(tri) - d).__getitem__)[:4]))
+                  for f, tri, ds in frames for d in ds]
         c5 = [None] * plane.size
         onto: list = [None] * plane.size
         for p in range(plane.size):
             if c5[p] is not None or on_sides >> p & 1:
                 continue
-            for f, tri, d, _, (_, y) in _tails(plane, frame + (p,), frames):
-                # g carries position order[i] of frame + (p,) to the i-th point of frame + (y,)
-                order = (*tri, d, 10 - sum(tri) - d)
+            for (*_, (_, y)), label in zip(_tails(plane, frame + (p,), frames), labels):
                 if c5[y] is None:
                     c5[y], onto[y] = p, []
-                onto[y].append((-f % h, tuple(order.index(i) for i in range(4))))
+                onto[y].append(label)
         tables[group] = tuple(c5), tuple(o and tuple(o) for o in onto)
     return tables[group]
 
@@ -389,14 +392,16 @@ def _onto(labels, five) -> list:
 
 def _least_fives(plane: Plane, pts, group: str, sides):
     """(least, guided, quads) for an arc pts and its side table at
-    hand: quads the records of _frames for one frame map (c, b, a, d)
-    per 4-subset at f = 0, positions a < b < c < d, grouped as (0, (c,
-    b, a), range(c + 1, len(pts))), least the least c5 over the
-    5-subsets that they find (plane.size if there is none), and
-    guided the guided frames, those that carry a 5-subset with that c5
-    onto frame + (c5,)."""
-    quads = list(_frames(plane, pts, [(0, (c, b, a), range(c + 1, len(pts))) for a, b, c
-                                      in combinations(range(len(pts) - 1), 3)], sides))
+    hand: quads one frame map (c, b, a, d) per 4-subset at f = 0,
+    positions a < b < c < d, as (0, (c, b, a), offs, range(c + 1,
+    len(pts))), offs the offsets at those Ds alone (_frames), least the
+    least c5 over the 5-subsets that they find (plane.size if there is
+    none), and guided the guided frames, those that carry a 5-subset
+    with that c5 onto frame + (c5,)."""
+    groups = [(0, (c, b, a), range(c + 1, len(pts))) for a, b, c in combinations(range(len(pts) - 1), 3)]
+    m = plane.q - 1  # an arc has no zero off the triangle, and p^f = 1 at f = 0
+    quads = [(f, tri, {d: ((w1[d] - w0[d]) % m, (w2[d] - w0[d]) % m) for d in ds}, ds)
+             for f, tri, (w0, w1, w2), _, ds in _frames(plane, pts, groups, sides)]
     c5, onto = _five_point_table(plane, group)
     row, exp = plane.affine_row, plane.field.exp
     least, reached = plane.size, []
@@ -452,8 +457,9 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
     R has c5 >= m0, and by the lemma S is its own least image only if no
     5-subset through x has c5 < m0.  Those are Q + (x,) for the 4-subsets
     Q of R, with c5 the table entry at F_Q(x), F_Q one frame map of Q:
-    two lookups per Q from the logs of x on R's sides and the offsets of
-    R's points, found once per parent.  A child that this keeps has
+    two lookups per Q from the logs of x on R's sides, each evaluated
+    when first read, and the offsets of R's points, found once per
+    parent.  A child that this keeps has
     canonicalize(S)[4] = m0, so a frame map that takes S below itself
     carries a 5-subset with c5 = m0 onto frame + (m0,): one of the
     Q + (x,) that reached m0, imaged with R's side logs reused, or one
@@ -480,16 +486,20 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
            for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, frames, sides)]
     if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
         return []
-    lines = [((a, b), plane.lines[plane.line_rows[pts[a]][pts[b]]]) for a, b in sides]
+    # the sides each quad reads first; the last also takes those through R's last point
+    lines = {(a, b): plane.lines[plane.line_rows[pts[a]][pts[b]]] for a, b in sides}
+    fresh = [[(pair, lines.pop(pair)) for pair in ((b, c), (a, c), (a, b)) if pair in lines]
+             for _, (c, b, a), _, _ in quads]
+    fresh[-1] += lines.items()
 
     def below(x: int) -> bool:
         """Whether pts + [x] has an image below itself."""
         x0, x1, x2 = plane.points[x]
-        logs = {pair: log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-                for pair, (l0, l1, l2) in lines}
+        logs, guided = {}, []
         m0 = pts[4] if k > 4 else x
-        guided = []
-        for _, (c, b, a), offs, ds in quads:
+        for new, (_, (c, b, a), offs, ds) in zip(fresh, quads):
+            for pair, (l0, l1, l2) in new:
+                logs[pair] = log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
             v = logs[b, c]
             u1, u2 = (logs[a, c] - v) % m, (logs[a, b] - v) % m
             for d in ds:
@@ -592,21 +602,23 @@ def stabilizer(plane: Plane, points, group: str = PGL):
         frames = _least_fives(plane, pts, group, sides)[1]
     else:
         frames = _invariant_frames(plane, pts, group)
-    row, exp = plane.affine_row, field.exp
+    row, exp, m = plane.affine_row, field.exp, plane.q - 1
     f1, tri1, ds1 = frames[0]
     g1 = _frame_element(plane, pts, f1, (*tri1, ds1[0]))
     target = {apply(plane, g1, x): i for i, x in enumerate(pts)}  # g1(S), point -> position
     back, elements, orders = inverse(field, g1), [], []
-    for f, tri, offs, ds in _frames(plane, pts, frames, sides):
+    for f, tri, (w0, w1, w2), s, ds in _frames(plane, pts, frames, sides):
         for d in ds:
-            d1, d2 = offs[d]
-            for a, b in offs.values():
-                if row[a - d1] + exp[b - d2] not in target:
+            d1, d2, sigma = (w1[d] - w0[d]) * s, (w2[d] - w0[d]) * s, []
+            for u, a, b in zip(w0, w1, w2):  # -1 for a point on a side, placed by apply below
+                i = -1 if u is None or a is None or b is None else target.get(
+                    row[((a - u) * s - d1) % m] + exp[((b - u) * s - d2) % m])
+                if i is None:
                     break
+                sigma.append(i)
             else:
                 g = _frame_element(plane, pts, f, (*tri, d))
-                sigma = [target.get(row[offs[i][0] - d1] + exp[offs[i][1] - d2] if i in offs
-                                    else apply(plane, g, x)) for i, x in enumerate(pts)]
+                sigma = [target.get(apply(plane, g, x)) if i < 0 else i for i, x in zip(sigma, pts)]
                 if None not in sigma:
                     elements.append(compose(field, back, g))
                     orders.append(_order(sigma, elements[-1].frob, field.h))

@@ -1,5 +1,6 @@
 """Group action, frame maps, canonical forms, stabilizers."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -29,6 +30,9 @@ from pgarc.collineation import (
     _five_point_table,
     _frames,
     _invariant_frames,
+    _least_fives,
+    _side_logs,
+    _tails,
 )
 import oracles
 from oracles import all_pgl_matrices_q2, collineation, group_closure, is_canonical, mask_image
@@ -553,28 +557,60 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
 ])
 def test_every_frame_records_follow_the_logged_sweep(q, group):
     """_frames over _every_frame on seeded arcs of 4 to 8 points: one
-    record per group given, with its Frobenius power, triangle and Ds,
-    in the order given; and against oracles.logged_frame_sweep, the
-    same records in the same order, compared as Frobenius power,
-    triangle and D as conjugate ids, and the (r1, r2) offsets of each D.  frame_images yields in this order,
-    and _five_point_table lists its onto frames in it.  The oracle
-    evaluates each Frobenius power from scratch, so the groups with
-    h > 1 (p = 2, 3 and 5) test the offsets scaled by p^f."""
+    record per group given, with its Frobenius power, triangle, p^f and
+    Ds, in the order given; and against oracles.logged_frame_sweep, the
+    same groups in the same order, compared as Frobenius power,
+    triangle and D as conjugate ids, and the (r1, r2) offsets of each D
+    as _tails makes them, one frame of _tails per D.  frame_images
+    yields in this order, and _five_point_table lists its onto frames
+    in it.  The oracle evaluates each Frobenius power from scratch, so
+    the groups with h > 1 (p = 2, 3 and 5) test the offsets scaled by
+    p^f."""
     pl = get_plane(q)
     rng = random.Random(f"every-frame:{q}:{group}")
     for n in range(4, 9):
         arc = oracles.random_arc(pl, rng, max_size=n)
         groups = _every_frame(pl, len(arc), group)
         records = list(_frames(pl, arc, groups))
-        assert [(f, tri, ds) for f, tri, _, ds in records] == groups, (q, group, arc)
+        assert [(f, tri, s, ds) for f, tri, _, s, ds in records] == [
+            (f, tri, pl.field.p**f, ds) for f, tri, ds in groups], (q, group, arc)
         logged = list(oracles.logged_frame_sweep(pl, arc, group))
         assert len(records) == len(logged) == (pl.field.h if group == PGAMMAL else 1) * 6 * comb(len(arc), 3)
-        for (f, tri, offs, ds), (lf, corners, ids, r1, r2, odd, _, _) in zip(records, logged):
+        tails = _tails(pl, arc, groups)
+        for (f, tri, ds), (lf, corners, ids, r1, r2, odd, _, _) in zip(groups, logged):
             perm = pl.frob_point_perms[f]
             assert (f, tuple(perm[arc[v]] for v in tri)) == (lf, corners), (q, group, arc)
             assert [perm[arc[d]] for d in ds] == ids and odd == [], (q, group, arc, tri)
-            assert list(offs) == ds
-            assert [offs[d] for d in ds] == list(zip(r1, r2)), (q, group, arc, tri)
+            for d in ds:
+                tf, ttri, td, offs, _ = next(tails)
+                assert (tf, ttri, td) == (f, tri, d) and list(offs) == ds
+                assert [offs[x] for x in ds] == list(zip(r1, r2)), (q, group, arc, tri)
+        assert next(tails, None) is None
+
+
+@pytest.mark.parametrize("q, group", [
+    (7, PGL), (8, PGAMMAL), (25, PGAMMAL), (27, PGAMMAL), (31, PGL), (32, PGAMMAL),
+])
+def test_least_fives_offsets_only_its_ds(q, group):
+    """The quads of _least_fives on seeded arcs of 5 to 9 points: one
+    per triangle (c, b, a) of positions a < b < c below the last, at f =
+    0, in combinations order, each carrying the offsets of exactly its
+    Ds, the positions after c, equal to those of
+    oracles.logged_frame_sweep at the same D."""
+    pl = get_plane(q)
+    rng = random.Random(f"least-fives:{q}:{group}")
+    for n in range(5, 10):
+        arc = oracles.random_arc(pl, rng, max_size=n)
+        k = len(arc)
+        quads = _least_fives(pl, arc, group, _side_logs(pl, arc, combinations(range(k), 2)))[2]
+        assert [(f, tri, list(ds)) for f, tri, _, ds in quads] == [
+            (0, (c, b, a), list(range(c + 1, k))) for a, b, c in combinations(range(k - 1), 3)]
+        logged = {corners: dict(zip(ids, zip(r1, r2)))
+                  for f, corners, ids, r1, r2, *_ in oracles.logged_frame_sweep(pl, arc, group) if f == 0}
+        for _, (c, b, a), offs, ds in quads:
+            assert list(offs) == list(ds), (q, group, arc)
+            oracle = logged[arc[c], arc[b], arc[a]]
+            assert [offs[d] for d in ds] == [oracle[arc[d]] for d in ds], (q, group, arc)
 
 
 def prime_subplane(plane):
@@ -598,9 +634,10 @@ def symmetric_non_arc(plane, rng):
     return sorted(pts)
 
 
-def gf32_sweep_sets():
-    """(plane, ids) of the 10 point sets of the GF(32) modulus sweep that
-    are not arcs: the two published 14-arcs under the moduli that fail."""
+def gf32_sweep_cases():
+    """(plane, ids) of the 12 point sets of the GF(32) modulus sweep: the
+    two published 14-arcs read over each of the 6 moduli, in the plane
+    of that modulus."""
     from pgarc.certificates import load_fixture, points_from_exponents
     from pgarc.gf import build_field, primitive_moduli
     from pgarc.plane import build_plane
@@ -610,10 +647,41 @@ def gf32_sweep_sets():
         pl = build_plane(build_field(2, 5, list(modulus)))
         for name in ("arc14_q32_z4", "arc14_q32_z5"):
             exponents = [tuple(e) for e in load_fixture(name).meta["generator_exponents"]]
-            ids = sorted(pl.point_id(t) for t in points_from_exponents(pl.field, exponents))
-            if pl.collinear_triple(ids) is not None:
-                out.append((pl, ids))
+            out.append((pl, sorted(pl.point_id(t) for t in points_from_exponents(pl.field, exponents))))
     return out
+
+
+def gf32_sweep_sets():
+    """(plane, ids) of the 10 point sets of the GF(32) modulus sweep that
+    are not arcs: the two published 14-arcs under the moduli that fail."""
+    return [(pl, ids) for pl, ids in gf32_sweep_cases() if pl.collinear_triple(ids) is not None]
+
+
+def stabilizer_digest(cases) -> str:
+    """sha256 over (plane, ids, group) cases of the sorted (frob, matrix)
+    of each stabilizer's elements, each followed by its GroupStructure."""
+    digest = hashlib.sha256()
+    for pl, ids, group in cases:
+        elements, structure = stabilizer(pl, ids, group)
+        digest.update(repr((sorted((g.frob, g.matrix) for g in elements), structure)).encode())
+    return digest.hexdigest()
+
+
+def test_certify_stabilizers_are_pinned():
+    """The stabilizers that the certify workload computes, pinned: the
+    three fixtures, each in its certificate's plane and group, and the
+    12 sets of the GF(32) sweep under PGammaL, the two arcs at the
+    passing modulus (the first) before the 10 non-arcs.  The digests
+    were recorded by this code, not taken from a publication."""
+    from pgarc.certificates import certificate_plane, load_fixture
+
+    fixtures = [(*certificate_plane(cert), cert.group) for cert in
+                map(load_fixture, ("arc14_q31_s3", "arc14_q32_z4", "arc14_q32_z5"))]
+    assert stabilizer_digest(fixtures) == "cdc39d7811838942f7ee7e8d5f8ebb2a381d66b88f326bfa94e206319e852df7"
+    sweep = gf32_sweep_cases()
+    assert [pl.collinear_triple(ids) is None for pl, ids in sweep] == [True] * 2 + [False] * 10
+    assert stabilizer_digest([(pl, ids, PGAMMAL) for pl, ids in sweep]) == (
+        "f07b06bfdc34820e5feebd8182dc9370dd6e87669b618a9779167546f6c995da")
 
 
 def test_non_arc_stabilizers_match_the_sweep():
