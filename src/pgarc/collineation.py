@@ -19,19 +19,20 @@ one image of the set.  All of them image frames through one kernel,
 _frames, which takes frames grouped as (f, T, Ds), one group per
 Frobenius power f and ordered triangle T, as they are made: every
 ordered frame (_every_frame), or the guided or candidate frames below.
-It evaluates the sides of T at every point of the set once for all
-powers, and the frame map of (T, D) divides those values by their values
-at D.  It hands T's sides and p^f to the consumer, which images only the
-points it reads: _tails every point off the sides, _least_fives the Ds
-of its quads, stabilizer up to the first miss.  The lines of plane.lines
-are normalized and sigma = x -> x^(p^f) fixes 1, so sigma carries the
-side through a and b onto the side through sigma(a) and sigma(b), whose
-log at sigma(x) is p^f times the side's log at x, mod q - 1.  In discrete
-logarithms that is two subtractions and two table lookups per image
-point, with no matrix and no normalization.  One builder, _frame_element,
-makes the matrix of a map that is returned; frame_map checks a quadruple
-from outside first.  plane._normalized normalizes matrices as it does
-points and lines.
+It hands the consumer the rows of T's sides in plane.line_logs, each
+side's logs at every point, and p^f; the frame map of (T, D) divides a
+point's values on the sides by their values at D.  The consumer images
+only the points it reads: _tails every point off the sides,
+_least_fives the Ds of its quads, stabilizer up to the first miss.  The
+lines of plane.lines are normalized and sigma = x -> x^(p^f) fixes 1,
+so sigma carries the side through a and b onto the side through
+sigma(a) and sigma(b), whose log at sigma(x) is p^f times the side's
+log at x, mod q - 1.  In discrete logarithms that is two subtractions
+and two table lookups per image point, with no matrix, no
+normalization and no field arithmetic on a line.  One builder,
+_frame_element, makes the matrix of a map that is returned; frame_map
+checks a quadruple from outside first.  plane._normalized normalizes
+matrices as it does points and lines.
 
 Canonical forms image only the frames that can reach the least image,
 chosen by a five-point invariant.  For a 5-arc T let c5(T) =
@@ -74,7 +75,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from .arcs import candidate_mask, iter_bits
-from .plane import Plane, PointRangeError, _normalized, _sorted_distinct
+from .plane import ZERO, Plane, PointRangeError, _normalized, _sorted_distinct
 
 PGL = "pgl"
 PGAMMAL = "pgammal"
@@ -205,11 +206,6 @@ def standard_frame(plane: Plane) -> tuple[int, int, int, int]:
     return (0, 1, q + 1, 2 * q + 2)
 
 
-def _dot(field, u, x) -> int:
-    mul = field.mul
-    return field.add(field.add(mul(u[0], x[0]), mul(u[1], x[1])), mul(u[2], x[2]))
-
-
 def frame_map(plane: Plane, quad) -> Collineation:
     """The unique element of PGL(3,q) carrying the ordered quadruple to the
     ordered standard frame (sharp transitivity of PGL(3,q) on frames).
@@ -233,28 +229,10 @@ def _frame_element(plane: Plane, pts, f: int, quad) -> Collineation:
     p1, p2, p3, d = (perm[pts[i]] for i in quad)
     matrix = []
     for a, b in ((p2, p1), (p3, p1), (p3, p2)):
-        side = plane.lines[rows[a][b]]
-        s = field.inv_list[_dot(field, side, plane.points[d])]
-        matrix.extend(field.mul(s, c) for c in side)
+        side = rows[a][b]
+        s = field.exp[-plane.line_logs[side][d]]
+        matrix.extend(field.mul(s, c) for c in plane.lines[side])
     return Collineation(_normalized(field, matrix), f)
-
-
-def _side_logs(plane: Plane, pts, pairs, known=None) -> dict:
-    """side[a, b] for each pair of positions a < b in pairs: the logs of
-    the line through pts[a] and pts[b] at every point of pts, None for a
-    zero.  The table serves every Frobenius power f: at the conjugates
-    the logs are p^f times these, mod q - 1 (module docstring).  The
-    lists of known, a side table already at hand, are kept."""
-    field = plane.field
-    q, log, mt, at = field.q, field.log, field.mul_flat, field.add_flat
-    coords = [plane.points[i] for i in pts]
-    side = dict(known) if known else {}
-    for a, b in pairs:
-        if (a, b) not in side:
-            l0, l1, l2 = plane.lines[plane.line_rows[pts[a]][pts[b]]]
-            side[a, b] = [log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-                          for x0, x1, x2 in coords]
-    return side
 
 
 def _powers(plane: Plane, group: str) -> range:
@@ -270,41 +248,42 @@ def _every_frame(plane: Plane, k: int, group: str) -> list:
             for t in combinations(range(k), 3) for i, j, l in permutations(range(3))]
 
 
-def _frames(plane: Plane, pts, groups, sides=None):
+def _frames(plane: Plane, pts, groups):
     """The kernel of every image this module takes: the frame maps of a
     point set in log coordinates.  For a triangle of positions V0, V1,
-    V2 let w_i(x) be the value at the conjugate of pts[x] of the side
+    V2 let w_i(x) be the value at the conjugate of point x of the side
     opposite V_i (a row of adj[V0|V1|V2], up to scalars); the frame map
     of (V2, V1, V0, D) sends x to (w0(x)/w0(D), w1(x)/w1(D),
     w2(x)/w2(D)).  groups lists frames of pts as (f, (V2, V1, V0), Ds),
     positions: each D in Ds after Frobenius power f (_every_frame lists
     all of them).  Yields (f, (V2, V1, V0), w, p^f, Ds) per group, in
-    the order given: w = (w0, w1, w2) holds the sides' logs at f = 0
-    (_side_logs), None for a zero, and a position x off the sides has
-    offsets r_i(x) = p^f (log w_i - log w0) mod q-1 at power f and lands
-    at plane.affine_row[r1(x) - r1(D)] + exp[r2(x) - r2(D)].  sides, a
-    table at hand, is read before any side is evaluated.
+    the order given: w = (w0, w1, w2) are the sides' rows of
+    plane.line_logs, indexed by point id, ZERO on the side, and a point
+    x off the sides has offsets r_i(x) = p^f (log w_i - log w0) mod q-1
+    at power f and lands at plane.affine_row[r1(x) - r1(D)] + exp[r2(x)
+    - r2(D)].  Each side is looked up once per call.
     """
-    p = plane.field.p
+    p, logs, rows = plane.field.p, plane.line_logs, plane.line_rows
     opposite = [((v1, v2) if v1 < v2 else (v2, v1), (v0, v2) if v0 < v2 else (v2, v0),
                  (v0, v1) if v0 < v1 else (v1, v0)) for _, (v2, v1, v0), _ in groups]
-    side = _side_logs(plane, pts, {pair for pairs in opposite for pair in pairs}, sides)
+    side = {(a, b): logs[rows[pts[a]][pts[b]]] for a, b in {pair for pairs in opposite for pair in pairs}}
     for (f, tri, ds), (p0, p1, p2) in zip(groups, opposite):
         yield f, tri, (side[p0], side[p1], side[p2]), p**f, ds
 
 
-def _tails(plane: Plane, pts, groups, sides=None):
-    """(f, (V2, V1, V0), D, offs, tail) for each frame of _frames(plane,
-    pts, groups, sides): offs the offsets of every position off the
-    sides of the triangle, made once per group, and tail the sorted
+def _tails(plane: Plane, pts, groups):
+    """(f, (V2, V1, V0), w, D, offs, tail) for each frame of
+    _frames(plane, pts, groups): offs the offsets of every position off
+    the sides of the triangle, made once per group, and tail the sorted
     image of those positions."""
-    row, exp, m, k = plane.affine_row, plane.field.exp, plane.q - 1, len(pts)
-    for f, tri, (w0, w1, w2), s, ds in _frames(plane, pts, groups, sides):
-        offs = {x: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for x in range(k)
-                if w0[x] is not None and w1[x] is not None and w2[x] is not None}
+    row, exp, m = plane.affine_row, plane.field.exp, plane.q - 1
+    for f, tri, w, s, ds in _frames(plane, pts, groups):
+        w0, w1, w2 = w
+        offs = {d: ((w1[x] - w0[x]) * s % m, (w2[x] - w0[x]) * s % m) for d, x in enumerate(pts)
+                if ZERO not in (w0[x], w1[x], w2[x])}
         for d in ds:
             d1, d2 = offs[d]
-            yield f, tri, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
+            yield f, tri, w, d, offs, sorted([row[a - d1] + exp[b - d2] for a, b in offs.values()])
 
 
 def _arc_points(plane: Plane, points, group: str) -> list[int]:
@@ -337,7 +316,7 @@ def frame_images(plane: Plane, arc, group: str = PGL):
     pts = _arc_points(plane, arc, group)
     head = standard_frame(plane)[:3]
     frames = _every_frame(plane, len(pts), group)
-    return (head + tuple(tail) for _, _, _, _, tail in _tails(plane, pts, frames))
+    return (head + tuple(tail) for *_, tail in _tails(plane, pts, frames))
 
 
 _FIVE_POINT_TABLES = weakref.WeakKeyDictionary()  # plane -> {group: (c5, onto)}
@@ -390,22 +369,22 @@ def _onto(labels, five) -> list:
     return [(f, (five[a], five[b], five[c]), (five[d],)) for f, (a, b, c, d) in labels]
 
 
-def _least_fives(plane: Plane, pts, group: str, sides):
-    """(least, guided, quads) for an arc pts and its side table at
-    hand: quads one frame map (c, b, a, d) per 4-subset at f = 0,
-    positions a < b < c < d, as (0, (c, b, a), offs, range(c + 1,
-    len(pts))), offs the offsets at those Ds alone (_frames), least the
-    least c5 over the 5-subsets that they find (plane.size if there is
-    none), and guided the guided frames, those that carry a 5-subset
-    with that c5 onto frame + (c5,)."""
+def _least_fives(plane: Plane, pts, group: str):
+    """(least, guided, quads) for an arc pts: quads one frame map (c, b,
+    a, d) per 4-subset at f = 0, positions a < b < c < d, as ((c, b, a),
+    w, offs, range(c + 1, len(pts))), w the sides' rows and offs the
+    offsets at those Ds alone (_frames), least the least c5 over the
+    5-subsets that they find (plane.size if there is none), and guided
+    the guided frames, those that carry a 5-subset with that c5 onto
+    frame + (c5,)."""
     groups = [(0, (c, b, a), range(c + 1, len(pts))) for a, b, c in combinations(range(len(pts) - 1), 3)]
     m = plane.q - 1  # an arc has no zero off the triangle, and p^f = 1 at f = 0
-    quads = [(f, tri, {d: ((w1[d] - w0[d]) % m, (w2[d] - w0[d]) % m) for d in ds}, ds)
-             for f, tri, (w0, w1, w2), _, ds in _frames(plane, pts, groups, sides)]
+    quads = [(tri, (w0, w1, w2), {d: ((w1[x] - w0[x]) % m, (w2[x] - w0[x]) % m) for d, x in zip(ds, pts[ds[0]:])},
+              ds) for _, tri, (w0, w1, w2), _, ds in _frames(plane, pts, groups)]
     c5, onto = _five_point_table(plane, group)
     row, exp = plane.affine_row, plane.field.exp
     least, reached = plane.size, []
-    for _, tri, offs, ds in quads:
+    for tri, _, offs, ds in quads:
         for i, d in enumerate(ds):
             d1, d2 = offs[d]
             for e in ds[i + 1:]:
@@ -433,13 +412,9 @@ def canonicalize(plane: Plane, points, group: str = PGL) -> PointSetCanonicalFor
     triple, DegenerateSetError.
     """
     pts = _arc_points(plane, points, group)
-    k = len(pts)
-    sides = _side_logs(plane, pts, combinations(range(k), 2))
-    frames = [(0, (0, 1, 2), [3])]
-    if k > 4:
-        frames = _least_fives(plane, pts, group, sides)[1]
+    frames = _least_fives(plane, pts, group)[1] if len(pts) > 4 else [(0, (0, 1, 2), [3])]
     best = [plane.size]  # above every index, so the first image wins
-    for f, tri, d, _, tail in _tails(plane, pts, frames, sides):
+    for f, tri, _, d, _, tail in _tails(plane, pts, frames):
         if tail < best:
             best, witness = tail, (f, (*tri, d))
     return PointSetCanonicalForm(standard_frame(plane)[:3] + tuple(best), _frame_element(plane, pts, *witness))
@@ -457,51 +432,37 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
     R has c5 >= m0, and by the lemma S is its own least image only if no
     5-subset through x has c5 < m0.  Those are Q + (x,) for the 4-subsets
     Q of R, with c5 the table entry at F_Q(x), F_Q one frame map of Q:
-    two lookups per Q from the logs of x on R's sides, each evaluated
-    when first read, and the offsets of R's points, found once per
-    parent.  A child that this keeps has
-    canonicalize(S)[4] = m0, so a frame map that takes S below itself
-    carries a 5-subset with c5 = m0 onto frame + (m0,): one of the
-    Q + (x,) that reached m0, imaged with R's side logs reused, or one
-    of R's own guided frames.  Those image R alike for every child, so
-    the parent's own test keeps their tails, and a child costs the image
-    of x under each, two lookups, and one comparison.  R's side logs and
-    x's logs on them serve every Frobenius power f, times p^f.
+    two lookups per Q from x's entries in the rows of Q's sides, and
+    the offsets of R's points, found once per parent.  A child that
+    this keeps has canonicalize(S)[4] = m0, so a frame map that takes S
+    below itself carries a 5-subset with c5 = m0 onto frame + (m0,): one
+    of the Q + (x,) that reached m0, or one of R's own guided frames.
+    Those image R alike for every child, so the parent's own test keeps
+    their sides' rows and tails, and a child costs the image of x under
+    each, two lookups, and one comparison.  The rows serve every
+    Frobenius power f, times p^f.
     """
     pts = _arc_points(plane, parent, group)
     above = candidate_mask(plane, pts) >> (pts[-1] + 1) << (pts[-1] + 1)
     if tuple(pts[:4]) != standard_frame(plane):
         return []
-    k = len(pts)
-    field = plane.field
-    q, m = field.q, field.q - 1
-    log, mt, at = field.log, field.mul_flat, field.add_flat
-    row, exp = plane.affine_row, field.exp
+    k, m = len(pts), plane.q - 1
+    row, exp, p = plane.affine_row, plane.field.exp, plane.field.p
     c5, onto = _five_point_table(plane, group)
-    sides = _side_logs(plane, pts, combinations(range(k), 2))
-    least, frames, quads = _least_fives(plane, pts, group, sides)
+    least, frames, quads = _least_fives(plane, pts, group)
     head = pts[3:]
-    # R's guided frames: (p^f, the pairs of their sides, D's offsets, tail of R)
-    own = [(field.p**f, [(u, v) if u < v else (v, u) for u, v in ((v1, v2), (v0, v2), (v0, v1))], offs[d], tail)
-           for f, (v2, v1, v0), d, offs, tail in _tails(plane, pts, frames, sides)]
+    # R's guided frames: (p^f, their sides' rows, D's offsets, tail of R)
+    own = [(p**f, w, offs[d], tail) for f, _, w, d, offs, tail in _tails(plane, pts, frames)]
     if k > 4 and (least < pts[4] or any(tail < head for *_, tail in own)):
         return []
-    # the sides each quad reads first; the last also takes those through R's last point
-    lines = {(a, b): plane.lines[plane.line_rows[pts[a]][pts[b]]] for a, b in sides}
-    fresh = [[(pair, lines.pop(pair)) for pair in ((b, c), (a, c), (a, b)) if pair in lines]
-             for _, (c, b, a), _, _ in quads]
-    fresh[-1] += lines.items()
 
     def below(x: int) -> bool:
         """Whether pts + [x] has an image below itself."""
-        x0, x1, x2 = plane.points[x]
-        logs, guided = {}, []
+        guided = []
         m0 = pts[4] if k > 4 else x
-        for new, (_, (c, b, a), offs, ds) in zip(fresh, quads):
-            for pair, (l0, l1, l2) in new:
-                logs[pair] = log[at[at[mt[l0 * q + x0] * q + mt[l1 * q + x1]] * q + mt[l2 * q + x2]]]
-            v = logs[b, c]
-            u1, u2 = (logs[a, c] - v) % m, (logs[a, b] - v) % m
+        for (c, b, a), (w0, w1, w2), offs, ds in quads:
+            v = w0[x]
+            u1, u2 = (w1[x] - v) % m, (w2[x] - v) % m
             for d in ds:
                 d1, d2 = offs[d]
                 y = row[u1 - d1] + exp[u2 - d2]
@@ -510,13 +471,12 @@ def canonical_children(plane: Plane, parent, group: str = PGL) -> list[tuple[int
                 if c5[y] == m0:
                     guided += _onto(onto[y], (c, b, a, d, k))
         target = head + [x]
-        for s, (p0, p1, p2), (d1, d2), tail in own:
-            v = logs[p0]
-            y = row[(s * (logs[p1] - v) - d1) % m] + exp[(s * (logs[p2] - v) - d2) % m]
+        for s, (w0, w1, w2), (d1, d2), tail in own:
+            v = w0[x]
+            y = row[(s * (w1[x] - v) - d1) % m] + exp[(s * (w2[x] - v) - d2) % m]
             if sorted(tail + [y]) < target:
                 return True
-        known = {pair: values + [logs[pair]] for pair, values in sides.items()} if guided else None
-        return any(tail < target for _, _, _, _, tail in _tails(plane, pts + [x], guided, known))
+        return any(tail < target for *_, tail in _tails(plane, pts + [x], guided))
 
     return [(*pts, x) for x in iter_bits(above) if not below(x)]
 
@@ -596,22 +556,20 @@ def stabilizer(plane: Plane, points, group: str = PGL):
     if len(pts) < 4:
         raise DegenerateSetError("stabilizer needs at least 4 points")
     field = plane.field
-    sides = None
-    if len(pts) > 4 and plane.collinear_triple(pts) is None:
-        sides = _side_logs(plane, pts, combinations(range(len(pts)), 2))
-        frames = _least_fives(plane, pts, group, sides)[1]
-    else:
-        frames = _invariant_frames(plane, pts, group)
+    arc = len(pts) > 4 and plane.collinear_triple(pts) is None
+    frames = _least_fives(plane, pts, group)[1] if arc else _invariant_frames(plane, pts, group)
     row, exp, m = plane.affine_row, field.exp, plane.q - 1
     f1, tri1, ds1 = frames[0]
     g1 = _frame_element(plane, pts, f1, (*tri1, ds1[0]))
     target = {apply(plane, g1, x): i for i, x in enumerate(pts)}  # g1(S), point -> position
     back, elements, orders = inverse(field, g1), [], []
-    for f, tri, (w0, w1, w2), s, ds in _frames(plane, pts, frames, sides):
+    for f, tri, (w0, w1, w2), s, ds in _frames(plane, pts, frames):
         for d in ds:
-            d1, d2, sigma = (w1[d] - w0[d]) * s, (w2[d] - w0[d]) * s, []
-            for u, a, b in zip(w0, w1, w2):  # -1 for a point on a side, placed by apply below
-                i = -1 if u is None or a is None or b is None else target.get(
+            e = pts[d]
+            d1, d2, sigma = (w1[e] - w0[e]) * s, (w2[e] - w0[e]) * s, []
+            for x in pts:  # -1 for a point on a side, placed by apply below
+                u, a, b = w0[x], w1[x], w2[x]
+                i = -1 if ZERO in (u, a, b) else target.get(
                     row[((a - u) * s - d1) % m] + exp[((b - u) * s - d2) % m])
                 if i is None:
                     break

@@ -8,8 +8,10 @@ vectors, so points and lines share one indexing.  The point list and the
 per-line point lists and bitmasks are built densely, each line's points
 solved from its equation, no dot product.  The pair -> line lookup has
 one row per point, filled from the lines through it when first read: a
-search reads few of the n rows.  No value a reader sees changes, so
-plane_of keeps one plane per field spec, rows and all, for the process.
+search reads few of the n rows.  line_logs has one row per line, its
+log at every point, filled when first read from the field's Zech rows.
+No value a reader sees changes, so plane_of keeps one plane per field
+spec, rows and all, for the process.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .gf import FieldTable
 
 # Dense line_through tables stop being reasonable above this order.
 DENSE_LIMIT = 64
+# The line_logs byte for a zero: every log is at most DENSE_LIMIT - 2.
+ZERO = 255
 
 
 class CapacityExceededError(ValueError):
@@ -83,6 +87,42 @@ class _LineRows(dict):
         return row
 
 
+class _LineLogs(dict):
+    """Row l: the log of line l at every point, ZERO at its own points,
+    as bytes, filled on first read.  With l2 != 0 the line takes l2 (c +
+    b) on the points (1, a, b) of one a, c = (l0 + l1 a) / l2, so that
+    run of q entries is the Zech row zech[c], the logs of c + b over b,
+    shifted by log l2; with l2 = 0 it is constant.  The field's tables
+    are built on the first fill.  A key outside [0, n) or not an int
+    raises."""
+
+    def __init__(self, field: FieldTable, lines: list[tuple[int, int, int]]):
+        super().__init__()
+        self.field, self.lines, self.tables = field, lines, None
+
+    def __missing__(self, l) -> bytes:
+        field, n = self.field, len(self.lines)
+        if type(l) is not int or not 0 <= l < n:
+            raise PointRangeError(f"line {l!r} is not a line id in [0, {n})")
+        q, at, mt = field.q, field.add_flat, field.mul_flat
+        if self.tables is None:  # log with ZERO for 0, the Zech rows, log l2 -> its shift
+            log, m = [ZERO, *field.log[1:]], q - 1
+            cycle, tail = bytes(range(m)) * 2, bytes(255 - m) + bytes([ZERO])
+            self.tables = (log, [bytes([log[v] for v in at[c * q:c * q + q]]) for c in range(q)],
+                           [cycle[e:e + m] + tail for e in range(m)])
+        log, zech, shift = self.tables
+        l0, l1, l2 = self.lines[l]
+        if l2:  # l2 at (0, 0, 1), l2 (c1 + b) at (0, 1, b), l2 (c0 + c1 a + b) at (1, a, b)
+            s = field.inv_list[l2]
+            c0q, c1 = mt[l0 * q + s] * q, mt[l1 * q + s]
+            runs = [zech[at[c0q + v]] for v in mt[c1 * q:c1 * q + q]]
+            self[l] = b"".join([b"\0", zech[c1], *runs]).translate(shift[log[l2]])
+        else:  # 0 at (0, 0, 1), l1 on (0, 1, b), l0 + l1 a on (1, a, b)
+            runs = [log[l1], *[log[at[l0 * q + v]] for v in mt[l1 * q:l1 * q + q]]]
+            self[l] = bytes([ZERO, *[e for e in runs for _ in range(q)]])
+        return self[l]
+
+
 class Plane:
     def __init__(self, field: FieldTable):
         self.field = field
@@ -118,6 +158,7 @@ class Plane:
         self.line_masks = [sum(1 << i for i in pts) for pts in on_line]
 
         self.line_rows = _LineRows(on_line)
+        self.line_logs = _LineLogs(field, points)
         self.all_points_mask = (1 << n) - 1
 
         self.frob_point_perms = [

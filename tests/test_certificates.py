@@ -397,7 +397,8 @@ def test_sweep_builds_one_plane(monkeypatch):
 
 def test_verify_builds_few_rows(monkeypatch):
     """Verifying arc14_q32_z4 reads 50 of the 1,057 rows of its plane's
-    pair -> line lookup, and the plane builds no other row."""
+    pair -> line lookup, and the plane builds no other row; it fills the
+    log rows of 97 of its 1,057 lines."""
     from pgarc import plane as plane_layer
 
     def kept(field):
@@ -410,6 +411,7 @@ def test_verify_builds_few_rows(monkeypatch):
     monkeypatch.setattr(plane_layer, "_PLANES", {})
     assert verify(load_fixture("arc14_q32_z4")).valid
     assert len(planes) == 1 and len(planes[0].line_rows) <= 64
+    assert len(planes[0].line_logs) <= 128
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,11 @@ from pgarc.collineation import (
     _frames,
     _invariant_frames,
     _least_fives,
-    _side_logs,
     _tails,
 )
 import oracles
 from oracles import all_pgl_matrices_q2, collineation, group_closure, is_canonical, mask_image
-from pgarc.plane import DuplicatePointsError, PointRangeError
+from pgarc.plane import ZERO, DuplicatePointsError, PointRangeError
 from support import classification, get_field, get_plane
 
 
@@ -558,14 +557,16 @@ def test_log_domain_sweep_matches_ordered_quadruple_sweep():
 def test_every_frame_records_follow_the_logged_sweep(q, group):
     """_frames over _every_frame on seeded arcs of 4 to 8 points: one
     record per group given, with its Frobenius power, triangle, p^f and
-    Ds, in the order given; and against oracles.logged_frame_sweep, the
+    Ds, in the order given, and the plane.line_logs rows of the sides
+    opposite V0, V1 and V2; and against oracles.logged_frame_sweep, the
     same groups in the same order, compared as Frobenius power,
-    triangle and D as conjugate ids, and the (r1, r2) offsets of each D
-    as _tails makes them, one frame of _tails per D.  frame_images
-    yields in this order, and _five_point_table lists its onto frames
-    in it.  The oracle evaluates each Frobenius power from scratch, so
-    the groups with h > 1 (p = 2, 3 and 5) test the offsets scaled by
-    p^f."""
+    triangle and D as conjugate ids, the rows at the arc's points as
+    the oracle's side logs at f = 0, and the (r1, r2) offsets of each D
+    as _tails makes them, one frame of _tails per D with the group's
+    rows.  frame_images yields in this order, and _five_point_table
+    lists its onto frames in it.  The oracle evaluates each Frobenius
+    power from scratch, so the groups with h > 1 (p = 2, 3 and 5) test
+    the offsets scaled by p^f."""
     pl = get_plane(q)
     rng = random.Random(f"every-frame:{q}:{group}")
     for n in range(4, 9):
@@ -574,16 +575,21 @@ def test_every_frame_records_follow_the_logged_sweep(q, group):
         records = list(_frames(pl, arc, groups))
         assert [(f, tri, s, ds) for f, tri, _, s, ds in records] == [
             (f, tri, pl.field.p**f, ds) for f, tri, ds in groups], (q, group, arc)
+        assert [w for _, _, w, _, _ in records] == [
+            tuple(pl.line_logs[pl.line_through(arc[u], arc[v])] for u, v in ((v1, v2), (v0, v2), (v0, v1)))
+            for _, (v2, v1, v0), _ in groups], (q, group, arc)
         logged = list(oracles.logged_frame_sweep(pl, arc, group))
         assert len(records) == len(logged) == (pl.field.h if group == PGAMMAL else 1) * 6 * comb(len(arc), 3)
         tails = _tails(pl, arc, groups)
-        for (f, tri, ds), (lf, corners, ids, r1, r2, odd, _, _) in zip(groups, logged):
+        for (f, tri, ds), (_, _, w, _, _), (lf, corners, ids, r1, r2, odd, side, lw) in zip(groups, records, logged):
             perm = pl.frob_point_perms[f]
             assert (f, tuple(perm[arc[v]] for v in tri)) == (lf, corners), (q, group, arc)
             assert [perm[arc[d]] for d in ds] == ids and odd == [], (q, group, arc, tri)
+            if f == 0:
+                assert [[None if r[x] == ZERO else r[x] for x in arc] for r in w] == [side[i] for i in lw]
             for d in ds:
-                tf, ttri, td, offs, _ = next(tails)
-                assert (tf, ttri, td) == (f, tri, d) and list(offs) == ds
+                tf, ttri, tw, td, offs, _ = next(tails)
+                assert (tf, ttri, tw, td) == (f, tri, w, d) and list(offs) == ds
                 assert [offs[x] for x in ds] == list(zip(r1, r2)), (q, group, arc, tri)
         assert next(tails, None) is None
 
@@ -593,21 +599,23 @@ def test_every_frame_records_follow_the_logged_sweep(q, group):
 ])
 def test_least_fives_offsets_only_its_ds(q, group):
     """The quads of _least_fives on seeded arcs of 5 to 9 points: one
-    per triangle (c, b, a) of positions a < b < c below the last, at f =
-    0, in combinations order, each carrying the offsets of exactly its
-    Ds, the positions after c, equal to those of
-    oracles.logged_frame_sweep at the same D."""
+    per triangle (c, b, a) of positions a < b < c below the last, in
+    combinations order, each carrying the plane.line_logs rows of the
+    sides opposite a, b and c, and the offsets of exactly its Ds, the
+    positions after c, equal to those of oracles.logged_frame_sweep at
+    f = 0 at the same D."""
     pl = get_plane(q)
     rng = random.Random(f"least-fives:{q}:{group}")
     for n in range(5, 10):
         arc = oracles.random_arc(pl, rng, max_size=n)
         k = len(arc)
-        quads = _least_fives(pl, arc, group, _side_logs(pl, arc, combinations(range(k), 2)))[2]
-        assert [(f, tri, list(ds)) for f, tri, _, ds in quads] == [
-            (0, (c, b, a), list(range(c + 1, k))) for a, b, c in combinations(range(k - 1), 3)]
+        quads = _least_fives(pl, arc, group)[2]
+        assert [(tri, list(ds)) for tri, _, _, ds in quads] == [
+            ((c, b, a), list(range(c + 1, k))) for a, b, c in combinations(range(k - 1), 3)]
         logged = {corners: dict(zip(ids, zip(r1, r2)))
                   for f, corners, ids, r1, r2, *_ in oracles.logged_frame_sweep(pl, arc, group) if f == 0}
-        for _, (c, b, a), offs, ds in quads:
+        for (c, b, a), w, offs, ds in quads:
+            assert w == tuple(pl.line_logs[pl.line_through(arc[u], arc[v])] for u, v in ((b, c), (a, c), (a, b)))
             assert list(offs) == list(ds), (q, group, arc)
             oracle = logged[arc[c], arc[b], arc[a]]
             assert [offs[d] for d in ds] == [oracle[arc[d]] for d in ds], (q, group, arc)

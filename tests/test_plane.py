@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgarc.plane import (
+    ZERO,
     CapacityExceededError,
     DuplicatePointsError,
     PointRangeError,
@@ -313,6 +314,26 @@ def test_line_rows_reject_keys_that_are_not_point_ids():
         with pytest.raises(PointRangeError):
             rows[k]
     assert list(rows) == [n - 1]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 31, 32])
+def test_line_logs_match_direct_evaluation(q):
+    """Every row of line_logs on a fresh plane, filled in a seeded random
+    order, against the line evaluated at each point with the field's
+    tables: the log of the value, ZERO exactly at points_on_line[l].  A
+    key that is not a line id raises and stores nothing."""
+    pl = build_plane(get_field(q))
+    f, n, logs = pl.field, pl.size, pl.line_logs
+    for k in (-1, n, "3", 2.0):
+        with pytest.raises(PointRangeError):
+            logs[k]
+    assert len(logs) == 0
+    for l in random.Random(q).sample(range(n), n):
+        l0, l1, l2 = pl.lines[l]
+        values = [f.add(f.add(f.mul(l0, x0), f.mul(l1, x1)), f.mul(l2, x2)) for x0, x1, x2 in pl.points]
+        assert list(logs[l]) == [f.log[v] if v else ZERO for v in values], (q, l)
+        assert [x for x, e in enumerate(logs[l]) if e == ZERO] == list(pl.points_on_line[l]), (q, l)
+    assert len(logs) == n and max(e for row in logs.values() for e in row if e != ZERO) == q - 2
 
 
 @pytest.mark.parametrize("modulus", [m for m, _ in primitive_moduli(2, 5)])

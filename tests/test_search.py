@@ -337,10 +337,13 @@ def test_min_complete_size_deterministic_across_workers():
 
 def test_classify_to_size_5_builds_few_rows():
     """The frame's children at q = 31 read 4 rows of the 993 of the pair
-    -> line lookup in the calling process; a fresh plane has none."""
+    -> line lookup in the calling process, and fill the log rows of 42
+    of the 993 lines; a fresh plane has neither."""
     plane = build_plane(get_field(31))
+    assert len(plane.line_rows) == len(plane.line_logs) == 0
     classify(SearchConfig(q=31, classification_threshold=5), plane)
     assert 0 < len(plane.line_rows) <= 8
+    assert 0 < len(plane.line_logs) <= 64
 
 
 @pytest.mark.parametrize("q, group, counts", [(31, PGL, [1, 11, 905]), (32, PGAMMAL, [1, 3, 213])])
